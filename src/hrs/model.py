@@ -122,7 +122,8 @@ class HrsInstance:
         # negated hospital-side rank of each edge, parallel to agent_prefs:
         # hot loops read ranks sequentially instead of hashing, and min-heaps
         # can use the values directly (less negative = better). +1 marks an
-        # edge the hospital does not reciprocate (validate() reports those)
+        # edge the hospital does not reciprocate (validate() reports those);
+        # the solver and the verifiers treat such an edge as unacceptable
         self.agent_pref_hranks_neg = tuple(
             tuple(-self.hospital_rank[h].get(a, -1) for h in prefs)
             for a, prefs in enumerate(self.agent_prefs)
@@ -304,16 +305,22 @@ def is_feasible(inst: HrsInstance, matching: Matching) -> tuple[bool, str | None
     violation message otherwise."""
     if len(matching.assign) != inst.n_agents:
         return False, "assignment length does not match agent count"
-    occ = [0] * inst.n_hospitals
+    n_hospitals = inst.n_hospitals
+    occ = [0] * n_hospitals
     for a, h in enumerate(matching.assign):
         if h == UNMATCHED:
             continue
-        if not 0 <= h < inst.n_hospitals:
+        if not 0 <= h < n_hospitals:
             return False, f"agent {inst.agent_labels[a]} assigned to unknown hospital index {h}"
         if h not in inst.agent_rank[a]:
             return False, (
                 f"agent {inst.agent_labels[a]} assigned to "
                 f"{inst.hospital_labels[h]} which is not on its list"
+            )
+        if a not in inst.hospital_rank[h]:
+            return False, (
+                f"agent {inst.agent_labels[a]} assigned to "
+                f"{inst.hospital_labels[h]} which does not list it"
             )
         occ[h] += inst.sizes[a]
     for h, o in enumerate(occ):

@@ -17,7 +17,8 @@ matchings) is returned so the structural round invariants can be audited:
 round edge sets are pairwise disjoint, the final matching is exactly the union
 of the round matchings, per-hospital occupancy never decreases across rounds,
 and each round matching has no blocking pair within its round's subgraph and
-capacities.
+capacities. The audit of one round costs time proportional to its edges, plus
+C-speed passes over the assignment vectors.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ def uniform_gs(
     if len(sizes) != 1:
         raise ValueError(f"class mixes sizes {sorted(sizes)}")
     s = sizes.pop()
+    if s < 1:
+        raise ValueError(f"class agents have non-positive size {s}")
     slots = [r // s for r in residual_caps]
     prefs = inst.agent_prefs
     edge_ranks = inst.agent_pref_hranks_neg
@@ -99,9 +102,9 @@ def uniform_gs(
             h = lst[i]
             cap = slots[h]
             i += 1
-            if cap == 0:
-                continue
             neg_rank = ranks[i - 1]
+            if cap == 0 or neg_rank > 0:
+                continue  # no whole slot, or h does not list a
             heap = accepted[h]
             if fill[h] < cap:
                 heappush(heap, (neg_rank, a))
@@ -154,7 +157,10 @@ def solve_occupancy(inst: HrsInstance) -> Matching:
 
 
 def check_trace(inst: HrsInstance, trace: SolveTrace) -> ValidationReport:
-    """Audit a trace against the round invariants; empty report on success."""
+    """Audit a trace against the round invariants; empty report on success.
+
+    A round's checks visit only its own agents and edges; the whole instance
+    is walked only to locate a fault that has already been detected."""
     report = ValidationReport()
     part_report = validate_ordered_partition(inst, trace.partition)
     for issue in part_report.issues:
@@ -166,72 +172,115 @@ def check_trace(inst: HrsInstance, trace: SolveTrace) -> ValidationReport:
         report.add("error", "trace", "cumulative count differs from round count")
         return report
 
-    # rounds must use exactly their class, pairwise edge-disjoint subgraphs
-    seen_edges: dict[tuple[int, int], int] = {}
-    for rnd, cls in zip(trace.rounds, trace.partition.classes):
+    # rounds must use exactly their class, pairwise edge-disjoint subgraphs;
+    # each round's own blocking audit runs here too, while its edge set is
+    # at hand, and is reported last. round_matched[k] lists the agents round
+    # k matched, ascending
+    n_agents = inst.n_agents
+    round_matched: list[list[int]] = []
+    blocking_issues: list[tuple[str, str]] = []
+    seen_edges: set[tuple[int, int]] = set()
+    first_round: dict[tuple[int, int], int] | None = None  # built on the first repeat
+    for pos, (rnd, cls) in enumerate(zip(trace.rounds, trace.partition.classes)):
         loc = f"round {rnd.index}"
         if tuple(sorted(rnd.agents)) != tuple(sorted(cls)):
             report.add("error", loc, "round agents differ from partition class")
-        for e in rnd.edges:
-            if e in seen_edges:
-                report.add(
-                    "error", loc,
-                    f"edge {e} already in round {seen_edges[e]}",
-                )
-            else:
-                seen_edges[e] = rnd.index
         agent_set = set(rnd.agents)
         edge_set = set(rnd.edges)
-        for a, h in rnd.matching.pairs():
+        if first_round is None and (
+            len(edge_set) == len(rnd.edges) and seen_edges.isdisjoint(edge_set)
+        ):
+            seen_edges |= edge_set
+        else:
+            if first_round is None:
+                first_round = {}
+                for earlier in trace.rounds[:pos]:
+                    first_round.update(zip(earlier.edges, repeat(earlier.index)))
+            for e in rnd.edges:
+                if e in first_round:
+                    report.add(
+                        "error", loc,
+                        f"edge {e} already in round {first_round[e]}",
+                    )
+                else:
+                    first_round[e] = rnd.index
+        assign = rnd.matching.assign
+        matched = [
+            a for a in sorted(agent_set) if 0 <= a < n_agents and assign[a] != UNMATCHED
+        ]
+        if len(matched) != len(assign) - assign.count(UNMATCHED):
+            matched = rnd.matching.matched_agents()  # some match lies outside the class
+        round_matched.append(matched)
+        for a in matched:
+            h = assign[a]
             if a not in agent_set:
                 report.add("error", loc, f"matched agent {inst.agent_labels[a]} outside class")
             if (a, h) not in edge_set:
                 report.add("error", loc, f"matched pair ({a}, {h}) outside round edges")
-
-    # cumulative[k] must equal cumulative[k-1] plus this round's pairs,
-    # and the final matching exactly the union of round matchings
-    prev_pairs: set[tuple[int, int]] = set()
-    union_pairs: set[tuple[int, int]] = set()
-    for rnd, cum in zip(trace.rounds, trace.cumulative):
-        loc = f"round {rnd.index}"
-        round_pairs = set(rnd.matching.pairs())
-        union_pairs |= round_pairs
-        expected = prev_pairs | round_pairs
-        got = set(cum.pairs())
-        if got != expected:
-            report.add("error", loc, "cumulative matching is not the union so far")
-        prev_pairs = got
-    if set(trace.final.pairs()) != union_pairs:
-        report.add("error", "final", "final matching differs from union of rounds")
-
-    # per-hospital occupancy must never decrease across cumulative matchings
-    prev_occ = [0] * inst.n_hospitals
-    for rnd, cum in zip(trace.rounds, trace.cumulative):
-        occ = occupancies(inst, cum)
-        for h in range(inst.n_hospitals):
-            if occ[h] < prev_occ[h]:
-                report.add(
-                    "error", f"round {rnd.index}",
-                    f"occupancy of {inst.hospital_labels[h]} decreased",
-                )
-        prev_occ = occ
-
-    # every round matching must be blocking-free in its own subgraph
-    for rnd in trace.rounds:
-        loc = f"round {rnd.index}"
         try:
             blocking = find_blocking_pairs_residual(
-                inst, rnd.matching, rnd.residual_caps, rnd.edges
+                inst, rnd.matching, rnd.residual_caps, edge_set
             )
         except ValueError as exc:
-            report.add("error", loc, str(exc))
+            blocking_issues.append((loc, str(exc)))
             continue
         for w in blocking:
-            report.add(
-                "error", loc,
+            blocking_issues.append((
+                loc,
                 f"round blocking pair ({inst.agent_labels[w.agent]}, "
                 f"{inst.hospital_labels[w.hospital]})",
-            )
+            ))
+
+    # cumulative[k] must equal cumulative[k-1] plus this round's pairs, and
+    # the final matching exactly the union of round matchings. Both are
+    # checked on assignment vectors; an agent given two hospitals cannot be
+    # part of any matching, so it fails the comparison
+    prev_assign = (UNMATCHED,) * n_agents
+    union = [UNMATCHED] * n_agents
+    union_ok = True
+    consistent: list[bool] = []
+    for rnd, cum, matched in zip(trace.rounds, trace.cumulative, round_matched):
+        assign = rnd.matching.assign
+        expected = list(prev_assign)
+        ok = True
+        for a in matched:
+            h = assign[a]
+            ok = ok and expected[a] in (UNMATCHED, h)
+            union_ok = union_ok and union[a] in (UNMATCHED, h)
+            expected[a] = union[a] = h
+        ok = ok and tuple(expected) == cum.assign
+        if not ok:
+            report.add("error", f"round {rnd.index}", "cumulative matching is not the union so far")
+        consistent.append(ok)
+        prev_assign = cum.assign
+    if not (union_ok and tuple(union) == trace.final.assign):
+        report.add("error", "final", "final matching differs from union of rounds")
+
+    # per-hospital occupancy must never decrease across cumulative matchings;
+    # a cumulative matching that adds exactly its round's pairs cannot lower
+    # one, so only the others are recounted
+    sizes = inst.sizes
+    prev_occ = [0] * inst.n_hospitals
+    prev_assign = (UNMATCHED,) * n_agents
+    for rnd, cum, matched, ok in zip(trace.rounds, trace.cumulative, round_matched, consistent):
+        if ok:
+            occ = prev_occ[:]
+            for a in matched:
+                if prev_assign[a] == UNMATCHED:
+                    occ[cum.assign[a]] += sizes[a]
+        else:
+            occ = occupancies(inst, cum)
+            for h in range(inst.n_hospitals):
+                if occ[h] < prev_occ[h]:
+                    report.add(
+                        "error", f"round {rnd.index}",
+                        f"occupancy of {inst.hospital_labels[h]} decreased",
+                    )
+        prev_occ = occ
+        prev_assign = cum.assign
+
+    for loc, message in blocking_issues:
+        report.add("error", loc, message)
     return report
 
 

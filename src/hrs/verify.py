@@ -7,15 +7,26 @@ variant additionally requires the eviction set to free at most s(a) positions,
 so the hospital never loses occupancy by the swap. A matching is stable
 (resp. occupancy-stable) when no pair of that kind blocks it.
 
-The eviction-set search is a reachable-subset-sum scan over the sizes of the
-lower-preferred residents, done with integer bitsets; reported witnesses take
-the smallest achievable eviction total and, among those, the lexicographically
-smallest agent set.
+Every verifier runs one scan. It first builds an eviction table per hospital
+with residents: the residents sorted by the hospital's rank, and over each
+suffix of that order (worst-ranked upward) the evictable size total and the
+reachable subset sums as an integer bitset masked to the largest agent size.
+Building costs O(sum_h |M(h)| log |M(h)|). A candidate pair (a, h) then costs
+one bisect for a's rank, O(log |M(h)|), and one comparison (classic: total >=
+the size that must be freed) or one shift and mask (occupancy: a reachable sum
+between that size and s(a)). Pairs the hospital does not list never block.
+
+Witnesses are rebuilt only for pairs that block: they take the smallest
+achievable eviction total and, among those, the lexicographically smallest
+agent set.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .model import (
@@ -23,7 +34,6 @@ from .model import (
     HrsInstance,
     Matching,
     is_feasible,
-    occupancies,
 )
 
 CLASSIC = "classic"
@@ -84,50 +94,99 @@ def _min_sum_eviction(
     return tuple(chosen)
 
 
+def _eviction_table(
+    members: Sequence[int], rank: dict[int, int], sizes: Sequence[int], limit: int | None
+) -> tuple[list[int], list[int], list[int]]:
+    """One hospital's residents sorted by rank, their ranks, and over each
+    suffix of that order (the worst-ranked residents) what evicting some of
+    them can free: the total size when ``limit`` is None, otherwise the bitset
+    of reachable subset sums masked by ``limit``."""
+    order = sorted(members, key=rank.__getitem__)
+    if limit is not None:
+        suffix = [1]
+        for b in reversed(order):
+            bits = suffix[-1]
+            suffix.append((bits | (bits << sizes[b])) & limit)
+    else:
+        suffix = list(accumulate([sizes[b] for b in reversed(order)], initial=0))
+    suffix.reverse()
+    return order, [rank[b] for b in order], suffix
+
+
 def _scan_pairs(
     inst: HrsInstance,
-    matching: Matching,
+    assign: Sequence[int],
     kind: str,
     caps: Sequence[int],
+    agents: Iterable[int],
     allowed: set[tuple[int, int]] | None,
     collect: bool,
     out: list[BlockingWitness] | None,
 ) -> bool:
-    """Walk candidate pairs in canonical order (agent index, then that agent's
-    preference order). Returns True if any pair blocks; fills ``out`` with all
-    witnesses when collecting."""
-    assign = matching.assign
-    occ = occupancies(inst, matching)
+    """Walk candidate pairs of ``agents`` (ascending) in canonical order (agent
+    index, then that agent's preference order). Only those agents' assignments
+    count as residents. Returns True if any pair blocks; fills ``out`` with
+    all witnesses when collecting.
+
+    A hospital's eviction table is built on its first pair that needs an
+    eviction; each such pair is then a bisect on rank plus one comparison
+    (classic) or one shift and mask (occupancy).
+    """
     sizes = inst.sizes
     hospital_rank = inst.hospital_rank
-    matched_at: list[list[int]] = [[] for _ in range(inst.n_hospitals)]
-    for a, h in enumerate(assign):
+    occupancy = kind == OCCUPANCY
+    free = list(caps)
+    residents: dict[int, list[int]] = {}
+    for a in agents:
+        h = assign[a]
         if h != UNMATCHED:
-            matched_at[h].append(a)
+            free[h] -= sizes[a]
+            if h in residents:
+                residents[h].append(a)
+            else:
+                residents[h] = [a]
+    tables: list[tuple[list[int], list[int], list[int]] | None] = [None] * len(free)
+    # occupancy evicts at most s(a) <= the largest size, so longer sums never matter
+    limit = (1 << (max(sizes, default=0) + 1)) - 1 if occupancy else None
+    agent_prefs = inst.agent_prefs
+    edge_ranks = inst.agent_pref_hranks_neg
     found = False
-    for a in range(inst.n_agents):
+    for a in agents:
         cur = assign[a]
         s_a = sizes[a]
-        for h in inst.agent_prefs[a]:
+        for h, neg_rank in zip(agent_prefs[a], edge_ranks[a]):
             if h == cur:
                 break  # remaining hospitals are not preferred to the assignment
+            if neg_rank > 0:
+                continue  # h does not list a: the pair is not acceptable
+            need = s_a - free[h]
+            if need > 0:
+                table = tables[h]
+                if table is None:
+                    table = tables[h] = _eviction_table(
+                        residents.get(h, ()), hospital_rank[h], sizes, limit
+                    )
+                order, ranks, evictable = table
+                i = bisect_right(ranks, -neg_rank)
+                # free[h] >= 0 on a feasible matching, so need <= s(a) here
+                if occupancy:
+                    if not (evictable[i] >> need) & ((1 << (free[h] + 1)) - 1):
+                        continue
+                elif evictable[i] < need:
+                    continue
+            # tested last: few pairs get this far
             if allowed is not None and (a, h) not in allowed:
-                continue
-            o, q = occ[h], caps[h]
-            need = o + s_a - q
-            if need <= 0:
-                witness: tuple[int, ...] | None = ()
-            else:
-                rank_a = hospital_rank[h][a]
-                lower = [b for b in matched_at[h] if hospital_rank[h][b] > rank_a]
-                lower_sizes = [sizes[b] for b in lower]
-                hi = s_a if kind == OCCUPANCY else sum(lower_sizes)
-                witness = _min_sum_eviction(lower, lower_sizes, need, hi)
-            if witness is None:
                 continue
             found = True
             if not collect:
                 return True
+            if need <= 0:
+                witness: tuple[int, ...] = ()
+            else:
+                lower = sorted(order[i:])  # index order fixes the tie-break
+                lower_sizes = [sizes[b] for b in lower]
+                hi = s_a if occupancy else sum(lower_sizes)
+                witness = _min_sum_eviction(lower, lower_sizes, need, hi)
             out.append(BlockingWitness(a, h, witness, kind))
     return found
 
@@ -138,19 +197,25 @@ def _require_feasible(inst: HrsInstance, matching: Matching) -> None:
         raise ValueError(f"infeasible matching: {msg}")
 
 
+def _scan_all(inst: HrsInstance, matching: Matching, kind: str, collect: bool,
+              out: list[BlockingWitness] | None) -> bool:
+    _require_feasible(inst, matching)
+    return _scan_pairs(
+        inst, matching.assign, kind, inst.caps, range(inst.n_agents), None, collect, out
+    )
+
+
 def find_blocking_pairs(inst: HrsInstance, matching: Matching) -> list[BlockingWitness]:
     """All classic blocking pairs, each with one valid eviction set."""
-    _require_feasible(inst, matching)
     out: list[BlockingWitness] = []
-    _scan_pairs(inst, matching, CLASSIC, inst.caps, None, True, out)
+    _scan_all(inst, matching, CLASSIC, True, out)
     return out
 
 
 def find_occupancy_blocking_pairs(inst: HrsInstance, matching: Matching) -> list[BlockingWitness]:
     """All occupancy-blocking pairs (eviction total bounded by the incoming size)."""
-    _require_feasible(inst, matching)
     out: list[BlockingWitness] = []
-    _scan_pairs(inst, matching, OCCUPANCY, inst.caps, None, True, out)
+    _scan_all(inst, matching, OCCUPANCY, True, out)
     return out
 
 
@@ -161,38 +226,60 @@ def find_blocking_pairs_residual(
     subgraph: Iterable[tuple[int, int]],
 ) -> list[BlockingWitness]:
     """Classic blocking pairs restricted to an edge subset under substitute
-    capacities; used to audit one solver round at a time."""
+    capacities; used to audit one solver round at a time.
+
+    The matching must match only agents named in the subgraph, along subgraph
+    edges, within the residual capacities. Work is proportional to the
+    subgraph's edges plus C-speed passes over the capacity and assignment
+    vectors, so auditing every round of a solve costs about one full scan.
+    """
     residual_caps = list(residual_caps)
     if len(residual_caps) != inst.n_hospitals:
         raise ValueError("residual capacity vector has wrong length")
-    if any(c < 0 for c in residual_caps):
+    if residual_caps and min(residual_caps) < 0:
         raise ValueError("negative residual capacity")
     allowed = set(subgraph)
-    occ = occupancies(inst, matching)
-    for h, o in enumerate(occ):
-        if o > residual_caps[h]:
+    n_agents = inst.n_agents
+    agents = sorted(a for a in set(map(itemgetter(0), allowed)) if 0 <= a < n_agents)
+    assign = matching.assign
+    matched = [a for a in agents if assign[a] != UNMATCHED]
+    if len(matched) != len(assign) - assign.count(UNMATCHED):
+        # some matched agent lies outside the subgraph: check every agent so
+        # the report names the same first fault as a full scan would
+        matched = [a for a, h in enumerate(assign) if h != UNMATCHED]
+    sizes = inst.sizes
+    occ: dict[int, int] = {}
+    for a in matched:
+        h = assign[a]
+        occ[h] = occ.get(h, 0) + sizes[a]
+    for h in sorted(occ):
+        if occ[h] > residual_caps[h]:
             raise ValueError(
                 f"matching infeasible under residual capacities at {inst.hospital_labels[h]}"
             )
-    for a, h in enumerate(matching.assign):
-        if h != UNMATCHED and (a, h) not in allowed:
+    for a in matched:
+        h = assign[a]
+        if (a, h) not in allowed:
             raise ValueError(
                 f"matched pair ({inst.agent_labels[a]}, {inst.hospital_labels[h]}) "
                 "outside the given subgraph"
             )
+        if a not in inst.hospital_rank[h]:
+            raise ValueError(
+                f"matched pair ({inst.agent_labels[a]}, {inst.hospital_labels[h]}) "
+                "not listed by the hospital"
+            )
     out: list[BlockingWitness] = []
-    _scan_pairs(inst, matching, CLASSIC, residual_caps, allowed, True, out)
+    _scan_pairs(inst, assign, CLASSIC, residual_caps, agents, allowed, True, out)
     return out
 
 
 def is_stable(inst: HrsInstance, matching: Matching) -> bool:
-    _require_feasible(inst, matching)
-    return not _scan_pairs(inst, matching, CLASSIC, inst.caps, None, False, None)
+    return not _scan_all(inst, matching, CLASSIC, False, None)
 
 
 def is_occupancy_stable(inst: HrsInstance, matching: Matching) -> bool:
-    _require_feasible(inst, matching)
-    return not _scan_pairs(inst, matching, OCCUPANCY, inst.caps, None, False, None)
+    return not _scan_all(inst, matching, OCCUPANCY, False, None)
 
 
 def is_a_perfect(inst: HrsInstance, matching: Matching) -> bool:

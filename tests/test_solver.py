@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hrs.model import HrsInstance, Matching, matching_size
+from hrs.model import HrsInstance, Matching, is_feasible, matching_size
 from hrs.partition import (
     OrderedPartition,
     detect_generalized_master_list,
@@ -145,6 +145,81 @@ def test_check_trace_catches_occupancy_drop(no_stable_inst):
     )
     report = check_trace(no_stable_inst, corrupted)
     assert any("decreased" in i.message or "union" in i.message for i in report.issues)
+
+
+def tampered_round(trace, k, pairs, inst):
+    """The trace with round k's matching replaced by ``pairs`` (labels) and
+    the cumulative and final matchings rebuilt to stay consistent with it."""
+    rounds = list(trace.rounds)
+    r = rounds[k]
+    rounds[k] = SolveRound(r.index, r.agents, r.edges, r.residual_caps,
+                           Matching.from_labeled_pairs(inst, pairs))
+    cumulative, union = [], {}
+    for rnd in rounds:
+        union.update(rnd.matching.pairs())
+        cumulative.append(Matching.from_pairs(inst, union.items()))
+    return SolveTrace(trace.partition, tuple(rounds), tuple(cumulative), cumulative[-1])
+
+
+def issues(report):
+    return [(i.severity, i.location, i.message) for i in report.issues]
+
+
+def test_check_trace_catches_round_blocking_pair(no_stable_inst):
+    trace = solve(no_stable_inst, size_descending_partition(no_stable_inst))
+    # round two's residual h1 holds one; a2 takes it though h1 ranks a1 higher
+    corrupted = tampered_round(trace, 1, [("a2", "h1")], no_stable_inst)
+    assert issues(check_trace(no_stable_inst, corrupted)) == [
+        ("error", "round 2", "round blocking pair (a1, h1)"),
+    ]
+
+
+def test_check_trace_catches_agent_outside_round(no_stable_inst):
+    trace = solve(no_stable_inst, size_descending_partition(no_stable_inst))
+    # a1 belongs to round two's class but is matched in round one
+    r0, r1 = trace.rounds
+    moved = SolveRound(r0.index, r0.agents, r0.edges, r0.residual_caps,
+                       Matching.from_labeled_pairs(no_stable_inst, [("a3", "h2"), ("a1", "h1")]))
+    corrupted = SolveTrace(trace.partition, (moved, r1), trace.cumulative, trace.final)
+    assert issues(check_trace(no_stable_inst, corrupted)) == [
+        ("error", "round 1", "matched agent a1 outside class"),
+        ("error", "round 1", "matched pair (0, 0) outside round edges"),
+        ("error", "round 1", "cumulative matching is not the union so far"),
+        ("error", "round 1", "matched pair (a1, h1) outside the given subgraph"),
+    ]
+
+
+def test_check_trace_catches_round_over_residual(no_stable_inst):
+    trace = solve(no_stable_inst, size_descending_partition(no_stable_inst))
+    # round two's residual capacity at h1 is 1, but both size-1 agents go there
+    corrupted = tampered_round(trace, 1, [("a1", "h1"), ("a2", "h1")], no_stable_inst)
+    assert issues(check_trace(no_stable_inst, corrupted)) == [
+        ("error", "round 2", "matching infeasible under residual capacities at h1"),
+    ]
+
+
+def test_unreciprocated_edge_is_not_acceptable():
+    # a2 lists h1, but h1 does not list a2 back
+    one_sided = HrsInstance.build(
+        [("a1", 1, ["h1"]), ("a2", 1, ["h1"])], [("h1", 1, ["a1"])]
+    )
+    mutual = HrsInstance.build(
+        [("a1", 1, ["h1"]), ("a2", 1, [])], [("h1", 1, ["a1"])]
+    )
+    got = solve(one_sided, size_descending_partition(one_sided)).final
+    want = solve(mutual, size_descending_partition(mutual)).final
+    assert got == want == Matching.from_labeled_pairs(mutual, [("a1", "h1")])
+    for finder in (find_blocking_pairs, find_occupancy_blocking_pairs):
+        for m in (Matching.empty(mutual), want):
+            assert finder(one_sided, m) == finder(mutual, m)
+    ok, msg = is_feasible(one_sided, Matching.from_labeled_pairs(one_sided, [("a2", "h1")]))
+    assert not ok and "does not list it" in msg
+
+
+def test_uniform_gs_rejects_size_zero():
+    inst = HrsInstance.build([("a1", 0, ["h1"])], [("h1", 1, ["a1"])])
+    with pytest.raises(ValueError, match="size 0"):
+        uniform_gs(inst, [0], [1])
 
 
 def test_solver_occupancy_stable_sweep():

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from hrs.model import Matching, UNMATCHED, occupancies
@@ -92,6 +95,66 @@ def test_witness_arithmetic_sound():
                     assert occ[h] - removed + inst.sizes[a] <= inst.caps[h]
                     if kind == "occupancy":
                         assert inst.sizes[a] >= removed
+
+
+def brute_force_eviction(inst, matching, caps, a, h, kind):
+    """Smallest-total, then lexicographically smallest, eviction set for a
+    pair by trying every subset of h's lower-ranked residents."""
+    rank = inst.hospital_rank[h]
+    lower = [b for b, hh in enumerate(matching.assign) if hh == h and rank[b] > rank[a]]
+    occ = sum(inst.sizes[b] for b, hh in enumerate(matching.assign) if hh == h)
+    need = occ + inst.sizes[a] - caps[h]
+    candidates = []
+    for r in range(len(lower) + 1):
+        for X in itertools.combinations(lower, r):
+            total = sum(inst.sizes[b] for b in X)
+            if total >= need and (kind == "classic" or total <= inst.sizes[a]):
+                candidates.append((total, X))
+    return min(candidates)[1]
+
+
+def test_witness_is_min_total_then_lexicographic():
+    checked = 0
+    for inst in small_random_instances(50, seed=19, max_agents=6, max_hospitals=3):
+        for matching in list(all_feasible_assignments(inst))[:80]:
+            for kind, finder in (
+                ("classic", find_blocking_pairs),
+                ("occupancy", find_occupancy_blocking_pairs),
+            ):
+                for w in finder(inst, matching):
+                    checked += 1
+                    assert w.displaced == brute_force_eviction(
+                        inst, matching, inst.caps, w.agent, w.hospital, kind
+                    )
+    assert checked > 1000
+
+
+def test_residual_vs_naive_enumeration():
+    rng = random.Random(31)
+    checked = 0
+    for inst in small_random_instances(60, seed=37, max_agents=5):
+        for _ in range(3):
+            subgraph = [e for e in inst.edges() if rng.random() < 0.7]
+            caps = [rng.randint(0, c) for c in inst.caps]
+            restricted = HrsInstance(
+                inst.agent_labels, inst.sizes, inst.agent_prefs,
+                inst.hospital_labels, caps, inst.hospital_prefs,
+            )
+            allowed = set(subgraph)
+            for matching in all_feasible_assignments(restricted):
+                if any(h != UNMATCHED and (a, h) not in allowed
+                       for a, h in enumerate(matching.assign)):
+                    continue
+                checked += 1
+                got = find_blocking_pairs_residual(inst, matching, caps, subgraph)
+                want = [e for e in naive_blocking_pairs(restricted, matching, "classic")
+                        if e in allowed]
+                assert [(w.agent, w.hospital) for w in got] == want
+                for w in got:
+                    assert w.displaced == brute_force_eviction(
+                        inst, matching, caps, w.agent, w.hospital, "classic"
+                    )
+    assert checked > 500
 
 
 def test_completeness_vs_naive_enumeration():
