@@ -1,11 +1,13 @@
 """Exact brute-force ground truth on small instances.
 
-The searcher assigns agents in index order, each to a listed hospital with
-enough residual capacity or to nothing (tried last), pruning on capacity only;
-stability predicates are evaluated at the leaves because blocking-pair absence
-is not prefix-monotone. Every bound in the budget (node count, wall clock,
-solution cap) aborts the sweep with an explicit ``budget_exhausted`` verdict
-rather than truncating silently.
+The searcher assigns agents in index order, each to a hospital on its list
+that lists it back and has enough residual capacity, or to nothing (tried
+last). The enumeration queries prune on capacity only; ``max-occ`` also cuts a
+branch once its matched size plus the sizes of all agents still to come cannot
+beat the best stable value found. Stability predicates are evaluated at the
+leaves because blocking-pair absence is not prefix-monotone. Every bound in
+the budget (node count, wall clock, solution cap) aborts the sweep with an
+explicit ``budget_exhausted`` verdict rather than truncating silently.
 
 The ``decompose`` strategy for the stable-matching query splits the instance
 into blocks that touch each other only through a set of interface hospitals.
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 from .model import UNMATCHED, HrsError, HrsInstance, Matching, matching_size
@@ -104,6 +105,15 @@ class _Ticker:
                 raise BudgetExhausted(self.nodes)
 
 
+def _listed_prefs(inst: HrsInstance) -> list[list[int]]:
+    """Each agent's list without the hospitals that do not list it back: a
+    feasible matching uses only the remaining edges."""
+    return [
+        [h for h, neg_rank in zip(hs, neg_ranks) if neg_rank <= 0]
+        for hs, neg_ranks in zip(inst.agent_prefs, inst.agent_pref_hranks_neg)
+    ]
+
+
 def enumerate_feasible(
     inst: HrsInstance, budget: SearchBudget | None = None
 ) -> Iterator[Matching]:
@@ -112,7 +122,7 @@ def enumerate_feasible(
     budget = budget or SearchBudget()
     ticker = _Ticker(budget)
     n = inst.n_agents
-    sizes, caps, prefs = inst.sizes, inst.caps, inst.agent_prefs
+    sizes, caps, prefs = inst.sizes, inst.caps, _listed_prefs(inst)
     assign = [UNMATCHED] * n
     occ = [0] * inst.n_hospitals
     yielded = 0
@@ -150,7 +160,7 @@ def _walk(
     assignments; returns (verdict, nodes)."""
     ticker = _Ticker(budget)
     n = inst.n_agents
-    sizes, caps, prefs = inst.sizes, inst.caps, inst.agent_prefs
+    sizes, caps, prefs = inst.sizes, inst.caps, _listed_prefs(inst)
     assign = [UNMATCHED] * n
     occ = [0] * inst.n_hospitals
 
@@ -230,25 +240,76 @@ def occupancy_stable_matchings(
 def max_occupancy_stable(
     inst: HrsInstance, budget: SearchBudget | None = None
 ) -> OracleResult:
-    """An occupancy-stable matching of maximum total size, with its value."""
+    """An occupancy-stable matching of maximum total size, with its value.
+
+    Branch and bound over the same search order as the other queries: the
+    matched size is carried down, and a branch is cut when that size plus the
+    sizes of every later agent with a nonempty list cannot exceed the best
+    stable value so far. A leaf replaces the incumbent only when strictly
+    larger, so the cut never changes the answer: the first maximum in search
+    order. The walk keeps its own stack, so the agent count is not bounded by
+    Python's recursion limit."""
     budget = budget or SearchBudget()
     tester = verify.make_blocking_tester(inst, verify.OCCUPANCY)
-    sizes = inst.sizes
+    ticker = _Ticker(budget)
+    n = inst.n_agents
+    sizes, caps, prefs = inst.sizes, inst.caps, _listed_prefs(inst)
+    # rest[a]: the most that agents a.. can still add to the matched size
+    rest = [0] * (n + 1)
+    for a in range(n - 1, -1, -1):
+        rest[a] = rest[a + 1] + (sizes[a] if prefs[a] else 0)
+    assign = [UNMATCHED] * n
+    occ = [0] * inst.n_hospitals
+    # choice[a]: position in prefs[a] of a's next branch; len(prefs[a]) is the
+    # unmatched branch, anything past it means a's branches are exhausted
+    choice = [0] * n
     best: list[Matching] = []
     best_value = -1
-
-    def on_leaf(assign, occ):
-        nonlocal best_value
-        value = 0
-        for a, h in enumerate(assign):
-            if h >= 0:
-                value += sizes[a]
-        if value > best_value and not tester(assign, occ):
-            best_value = value
-            best[:] = [Matching(assign)]
-
-    verdict, nodes = _walk(inst, budget, False, on_leaf)
-    return OracleResult(verdict, best, best_value if best else None, nodes)
+    value = 0
+    a = 0
+    try:
+        while a >= 0:
+            if a == n:
+                # the bound let this leaf through, so value > best_value
+                if not tester(assign, occ):
+                    best_value = value
+                    best[:] = [Matching(assign)]
+                a -= 1
+                continue
+            s = sizes[a]
+            h = assign[a]
+            if h != UNMATCHED:  # back from the branch a -> h
+                assign[a] = UNMATCHED
+                occ[h] -= s
+                value -= s
+            options = prefs[a]
+            i = choice[a]
+            descend = False
+            if value + rest[a] > best_value:
+                while i < len(options) and not descend:
+                    h = options[i]
+                    i += 1
+                    if occ[h] + s <= caps[h]:
+                        ticker.tick()
+                        assign[a] = h
+                        occ[h] += s
+                        value += s
+                        descend = True
+                if not descend and i == len(options):
+                    i += 1
+                    if value + rest[a + 1] > best_value:
+                        ticker.tick()
+                        descend = True
+            choice[a] = i
+            if descend:
+                a += 1
+                if a < n:
+                    choice[a] = 0
+            else:
+                a -= 1
+    except BudgetExhausted as exc:
+        return OracleResult(EXHAUSTED, best, best_value if best else None, exc.nodes)
+    return OracleResult(COMPLETE, best, best_value if best else None, ticker.nodes)
 
 
 def exists_a_perfect_occupancy_stable(
@@ -346,29 +407,108 @@ def _components(
     return comps
 
 
+def _split(
+    parts: list[tuple[int, int]], h: int, neighbours: list[int], agent_bits: list[int],
+    limit: int | None = None,
+) -> list[tuple[int, int]] | None:
+    """The parts (hospital bitset, agent count) of a block once hospital h is
+    cut as well: only the part holding h changes, into the components of its
+    other hospitals, found by a BFS over hospital bitsets. Returns None as
+    soon as a new part is seen to hold more than ``limit`` agents."""
+    bit = 1 << h
+    out = []
+    for part in parts:
+        if not part[0] & bit:
+            out.append(part)
+            continue
+        left = part[0] ^ bit
+        while left:
+            comp = frontier = left & -left
+            agents = 0
+            while frontier:
+                grow = 0
+                while frontier:
+                    low = frontier & -frontier
+                    i = low.bit_length() - 1
+                    grow |= neighbours[i]
+                    agents |= agent_bits[i]
+                    frontier ^= low
+                frontier = grow & left & ~comp
+                comp |= frontier
+                if limit is not None and agents.bit_count() > limit:
+                    return None
+            out.append((comp, agents.bit_count()))
+            left ^= comp
+    return out
+
+
 def auto_interfaces(inst: HrsInstance, max_block_agents: int = 12) -> list[int]:
     """Greedy interface choice: while some block holds more agents than the
     cap, remove the hospital set (up to three at a time) that most shrinks the
-    largest block. Any choice is sound; this one keeps the state product small
-    on gadget-chain instances."""
+    largest block, ties going to the smallest sorted set. Any choice is sound;
+    this one keeps the state product small on gadget-chain instances.
+
+    Cost: cutting hospitals of the largest block leaves every other block as
+    it is, so each round finds the blocks once and then scores cuts on the
+    largest block alone. Each hospital keeps its neighbouring hospitals (those
+    sharing an agent) and its agents as int bitsets. A cut's parts, as
+    (hospital bitset, agent count) pairs, come from the parts of the cut one
+    hospital smaller by splitting only the part that holds the newly cut
+    hospital. The parts of one- and two-hospital cuts are kept until the round
+    ends. Three-hospital cuts are only scored, and a split stops as soon as
+    one of its parts is too large to beat the best cut so far. An agent whose
+    hospitals are all cut is a block of one."""
+    hospitals_of = [set(hs) for hs in inst.agent_prefs]
+    for h, listed in enumerate(inst.hospital_prefs):
+        for a in listed:
+            hospitals_of[a].add(h)
+    agent_bits = [0] * inst.n_hospitals
+    neighbours = [0] * inst.n_hospitals
+    for a, hs in enumerate(hospitals_of):
+        mask = sum(1 << h for h in hs)
+        for h in hs:
+            agent_bits[h] |= 1 << a
+            neighbours[h] |= mask
     interfaces: set[int] = set()
     while True:
         comps = _components(inst, interfaces)
-        worst = max((len(ags) for ags, _ in comps), default=0)
+        counts = [len(ags) for ags, _ in comps]
+        worst = max(counts, default=0)
         if worst <= max_block_agents:
             break
-        big_agents, big_hospitals = max(comps, key=lambda c: len(c[0]))
+        big = counts.index(worst)
+        others = max(counts[:big] + counts[big + 1:], default=0)
+        if others >= worst:
+            break  # an equally large block stays whole under any cut
+        big_hospitals = comps[big][1]
         candidates = [h for h in big_hospitals if len(inst.hospital_prefs[h]) >= 2]
         candidates.sort(key=lambda h: -len(inst.hospital_prefs[h]))
         candidates = candidates[:24]
         best: tuple[int, tuple[int, ...]] | None = None
+        # cuts of the previous size, as candidate positions, with their parts
+        level = [((), [(sum(1 << h for h in big_hospitals), worst)])]
         for r in (1, 2, 3):
-            for subset in combinations(candidates, r):
-                comps2 = _components(inst, interfaces | set(subset))
-                w = max((len(ags) for ags, _ in comps2), default=0)
-                key = (w, tuple(sorted(subset)))
-                if best is None or key < best:
-                    best = key
+            deeper = []
+            for cut, parts in level:
+                for k in range(cut[-1] + 1 if cut else 0, len(candidates)):
+                    h = candidates[k]
+                    subset = tuple(sorted([candidates[j] for j in cut] + [h]))
+                    limit = None
+                    if r == 3:
+                        # only scored: drop the cut once a part is too large
+                        # for (w, subset) to beat the best key
+                        limit = best[0] if subset < best[1] else best[0] - 1
+                        if others > limit or any(n > limit for m, n in parts if not m >> h & 1):
+                            continue
+                    split = _split(parts, h, neighbours, agent_bits, limit)
+                    if split is None:
+                        continue
+                    key = (max(others, max((n for _, n in split), default=1)), subset)
+                    if best is None or key < best:
+                        best = key
+                    if r < 3:
+                        deeper.append((cut + (k,), split))
+            level = deeper
             if best is not None and best[0] <= max_block_agents:
                 break
         if best is None or best[0] >= worst:

@@ -300,6 +300,7 @@ def make_blocking_tester(
     sizes = inst.sizes
     caps = inst.caps
     agent_prefs = inst.agent_prefs
+    edge_ranks = inst.agent_pref_hranks_neg
     hospital_rank = inst.hospital_rank
     occupancy_kind = kind == OCCUPANCY
 
@@ -312,14 +313,16 @@ def make_blocking_tester(
         for a in range(n_agents):
             cur = assign[a]
             s_a = sizes[a]
-            for h in agent_prefs[a]:
+            for h, neg_rank in zip(agent_prefs[a], edge_ranks[a]):
                 if h == cur:
                     break
+                if neg_rank > 0:
+                    continue  # h does not list a: the pair is not acceptable
                 need = occ[h] + s_a - caps[h]
                 if need <= 0:
                     return True
                 ranks = hospital_rank[h]
-                rank_a = ranks[a]
+                rank_a = -neg_rank
                 if occupancy_kind:
                     if need > s_a:
                         continue

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from hrs.cli import main
-from hrs.model import parse_instance, serialize_instance, matching_to_json, Matching
+from hrs.model import HrsInstance, parse_instance, serialize_instance, matching_to_json, Matching
 from hrs.harness import approx_gap_example, no_stable_example
 
 
@@ -108,6 +108,17 @@ def test_oracle_max_occ(capsys, example_files):
     assert code == 0
     data = json.loads(out)
     assert data["value"] == 7 and data["witness"]["size"] == 7
+
+
+def test_oracle_max_occ_many_agents(capsys, tmp_path):
+    # far deeper than Python's recursion limit: the search keeps its own stack
+    inst = HrsInstance.build([(f"a{i}", 1, []) for i in range(1500)], [("h1", 1, [])])
+    path = tmp_path / "wide.hrs"
+    path.write_text(serialize_instance(inst))
+    code, out, err = run(capsys, "oracle", str(path), "--query", "max-occ")
+    assert code == 0 and "Traceback" not in err
+    data = json.loads(out)
+    assert data["verdict"] == "complete" and data["value"] == 0
 
 
 def test_oracle_a_perfect(capsys, example_files):

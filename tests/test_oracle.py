@@ -1,11 +1,15 @@
+import itertools
+import random
+
 import pytest
 
-from hrs.model import HrsInstance, Matching, matching_size
+from hrs.model import UNMATCHED, HrsInstance, Matching, is_feasible, matching_size
 from hrs.oracle import (
     COMPLETE,
     EXHAUSTED,
     BudgetExhausted,
     SearchBudget,
+    _components,
     auto_interfaces,
     enumerate_feasible,
     exists_a_perfect_occupancy_stable,
@@ -14,11 +18,11 @@ from hrs.oracle import (
     smti_complete_stable,
     stable_matchings,
 )
-from hrs.reduce import SmtiInstance, is_complete, is_weakly_stable
+from hrs.reduce import SmtiInstance, is_complete, is_weakly_stable, reduce_stable
 from hrs.solver import solve, solve_occupancy
 from hrs.partition import detect_generalized_master_list
 from hrs.verify import is_occupancy_stable, is_stable
-from hrs.harness import GenParams, gen_master_list
+from hrs.harness import GenParams, gen_csmti, gen_master_list, gen_random
 
 from conftest import all_feasible_assignments, small_random_instances
 
@@ -130,6 +134,105 @@ def test_max_brackets_solver_size():
             assert s_opt == 0
         else:
             assert 3 * s_alg > s_opt
+
+
+def _reference_max_occ(inst):
+    """First strict maximum by size among the occupancy-stable matchings of
+    the unpruned enumeration, and that enumeration's node count (one node
+    per feasible assignment of each nonempty agent prefix)."""
+    feasible = list(enumerate_feasible(inst))
+    best, best_value = None, -1
+    for m in feasible:
+        if is_occupancy_stable(inst, m):
+            value = matching_size(inst, m)
+            if value > best_value:
+                best, best_value = m, value
+    nodes = sum(len({m.assign[:k] for m in feasible}) for k in range(1, inst.n_agents + 1))
+    return best, best_value, nodes
+
+
+def test_max_occ_bound_matches_unpruned_reference():
+    rng = random.Random(61)
+    for i in range(300):
+        inst = gen_random(GenParams(
+            n_agents=rng.randint(1, 7), n_hospitals=rng.randint(1, 5),
+            size_range=(1, 3), cap_range=(1, 6),
+            density=rng.choice([0.4, 0.7, 1.0]), seed=6100 + i,
+        ))
+        best, best_value, nodes = _reference_max_occ(inst)
+        res = max_occupancy_stable(inst)
+        assert res.complete
+        assert res.value == best_value
+        assert res.matchings == [best]
+        assert res.nodes <= nodes
+
+
+def test_max_occ_reference_node_count_is_exact():
+    # the prefix count above is exactly the unpruned search's node budget
+    for inst in small_random_instances(20, seed=67, max_agents=6):
+        _, _, nodes = _reference_max_occ(inst)
+        list(enumerate_feasible(inst, SearchBudget(max_nodes=nodes)))
+        with pytest.raises(BudgetExhausted):
+            list(enumerate_feasible(inst, SearchBudget(max_nodes=nodes - 1)))
+
+
+def test_max_occ_many_agents_without_recursion():
+    inst = HrsInstance.build([(f"a{i}", 1, []) for i in range(1500)], [("h1", 1, [])])
+    res = max_occupancy_stable(inst)
+    assert res.complete and res.value == 0
+    assert res.matchings == [Matching.empty(inst)]
+
+
+def test_max_occ_budget_keeps_incumbent():
+    inst = HrsInstance.build(
+        [(f"a{i}", 1, ["h1", "h2"]) for i in range(1, 9)],
+        [("h1", 3, [f"a{i}" for i in range(1, 9)]), ("h2", 3, [f"a{i}" for i in range(1, 9)])],
+    )
+    res = max_occupancy_stable(inst, SearchBudget(max_nodes=20))
+    assert res.verdict == EXHAUSTED and res.nodes > 20
+    for m in res.matchings:
+        assert is_occupancy_stable(inst, m) and res.value == matching_size(inst, m)
+
+
+# --- one-sided edges: a2 lists h1, which does not list a2 back ---------------------
+
+
+@pytest.fixture
+def one_sided_inst():
+    return HrsInstance.build([("a1", 1, ["h1"]), ("a2", 1, ["h1"])], [("h1", 1, ["a1"])])
+
+
+def test_stable_matchings_skip_unlisted_edge(one_sided_inst):
+    res = stable_matchings(one_sided_inst)
+    expected = Matching.from_labeled_pairs(one_sided_inst, [("a1", "h1")])
+    assert res.complete and res.matchings == [expected]
+
+
+def test_occupancy_stable_matchings_skip_unlisted_edge(one_sided_inst):
+    res = occupancy_stable_matchings(one_sided_inst)
+    expected = Matching.from_labeled_pairs(one_sided_inst, [("a1", "h1")])
+    assert res.complete and res.matchings == [expected]
+
+
+def test_max_occ_skips_unlisted_edge(one_sided_inst):
+    res = max_occupancy_stable(one_sided_inst)
+    expected = Matching.from_labeled_pairs(one_sided_inst, [("a1", "h1")])
+    assert res.complete and res.value == 1 and res.matchings == [expected]
+
+
+def test_oracle_agrees_with_verifiers_on_unlisted_edge(one_sided_inst):
+    inst = one_sided_inst
+    stable = {m.assign for m in stable_matchings(inst).matchings}
+    occ = {m.assign for m in occupancy_stable_matchings(inst).matchings}
+    assert {m.assign for m in enumerate_feasible(inst)} == {(0, UNMATCHED), (UNMATCHED, UNMATCHED)}
+    choices = [list(inst.agent_prefs[a]) + [UNMATCHED] for a in range(inst.n_agents)]
+    for combo in itertools.product(*choices):
+        m = Matching(combo)
+        if is_feasible(inst, m)[0]:
+            assert (m.assign in stable) == is_stable(inst, m)
+            assert (m.assign in occ) == is_occupancy_stable(inst, m)
+        else:
+            assert m.assign not in occ
 
 
 def test_a_perfect_decision(no_stable_inst, gap_inst):
@@ -264,3 +367,57 @@ def test_auto_interfaces_on_small_instance(no_stable_inst):
 def test_unknown_strategy(no_stable_inst):
     with pytest.raises(ValueError):
         stable_matchings(no_stable_inst, strategy="magic")
+
+
+def _reference_auto_interfaces(inst, max_block_agents=12):
+    """The greedy interface choice evaluated the slow way: one full
+    component search per candidate cut."""
+    interfaces = set()
+    while True:
+        comps = _components(inst, interfaces)
+        worst = max((len(ags) for ags, _ in comps), default=0)
+        if worst <= max_block_agents:
+            break
+        _, big_hospitals = max(comps, key=lambda c: len(c[0]))
+        candidates = [h for h in big_hospitals if len(inst.hospital_prefs[h]) >= 2]
+        candidates.sort(key=lambda h: -len(inst.hospital_prefs[h]))
+        candidates = candidates[:24]
+        best = None
+        for r in (1, 2, 3):
+            for subset in itertools.combinations(candidates, r):
+                comps2 = _components(inst, interfaces | set(subset))
+                w = max((len(ags) for ags, _ in comps2), default=0)
+                key = (w, tuple(sorted(subset)))
+                if best is None or key < best:
+                    best = key
+            if best is not None and best[0] <= max_block_agents:
+                break
+        if best is None or best[0] >= worst:
+            break
+        interfaces.update(best[1])
+    return sorted(interfaces)
+
+
+def test_auto_interfaces_matches_reference_on_gadgets():
+    for n in range(3, 7):
+        for ties in range(n + 1):
+            seed = 10 * n + ties
+            while True:
+                try:
+                    smti = gen_csmti(GenParams(n_agents=n, n_hospitals=n, n_ties=ties, seed=seed))
+                    break
+                except ValueError:  # the generator rejects some seeds
+                    seed += 100
+            inst, _ = reduce_stable(smti)
+            assert auto_interfaces(inst) == _reference_auto_interfaces(inst)
+
+
+def test_auto_interfaces_matches_reference_on_random():
+    rng = random.Random(71)
+    for i in range(40):
+        inst = gen_random(GenParams(
+            n_agents=rng.randint(13, 30), n_hospitals=rng.randint(3, 14),
+            density=rng.choice([0.1, 0.15, 0.25, 0.4]), seed=7100 + i,
+        ))
+        assert auto_interfaces(inst) == _reference_auto_interfaces(inst)
+        assert auto_interfaces(inst, 4) == _reference_auto_interfaces(inst, 4)
