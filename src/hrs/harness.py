@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 from typing import Callable
 
-from .model import HrsInstance, matching_size, serialize_instance
+from .model import HrsInstance, induced_subinstance, matching_size, serialize_instance
 from .oracle import (
     COMPLETE,
     EXHAUSTED,
@@ -259,34 +259,6 @@ def master_list_example() -> HrsInstance:
 # --- instance shrinking ---------------------------------------------------------
 
 
-def _without_agent(inst: HrsInstance, victim: int) -> HrsInstance:
-    agents = [
-        (inst.agent_labels[a], inst.sizes[a],
-         [inst.hospital_labels[h] for h in inst.agent_prefs[a]])
-        for a in range(inst.n_agents) if a != victim
-    ]
-    hospitals = [
-        (inst.hospital_labels[h], inst.caps[h],
-         [inst.agent_labels[a] for a in inst.hospital_prefs[h] if a != victim])
-        for h in range(inst.n_hospitals)
-    ]
-    return HrsInstance.build(agents, hospitals)
-
-
-def _without_hospital(inst: HrsInstance, victim: int) -> HrsInstance:
-    agents = [
-        (inst.agent_labels[a], inst.sizes[a],
-         [inst.hospital_labels[h] for h in inst.agent_prefs[a] if h != victim])
-        for a in range(inst.n_agents)
-    ]
-    hospitals = [
-        (inst.hospital_labels[h], inst.caps[h],
-         [inst.agent_labels[a] for a in inst.hospital_prefs[h]])
-        for h in range(inst.n_hospitals) if h != victim
-    ]
-    return HrsInstance.build(agents, hospitals)
-
-
 def _without_edge(inst: HrsInstance, edge: tuple[int, int]) -> HrsInstance:
     ea, eh = edge
     agents = [
@@ -313,14 +285,18 @@ def shrink_instance(
     while changed:
         changed = False
         for a in range(current.n_agents):
-            candidate = _without_agent(current, a)
+            candidate = induced_subinstance(
+                current, [b for b in range(current.n_agents) if b != a], range(current.n_hospitals)
+            )
             if _fails(candidate, still_fails):
                 current, changed = candidate, True
                 break
         if changed:
             continue
         for h in range(current.n_hospitals):
-            candidate = _without_hospital(current, h)
+            candidate = induced_subinstance(
+                current, range(current.n_agents), [g for g in range(current.n_hospitals) if g != h]
+            )
             if _fails(candidate, still_fails):
                 current, changed = candidate, True
                 break

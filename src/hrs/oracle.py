@@ -1,13 +1,15 @@
 """Exact brute-force ground truth on small instances.
 
-The searcher assigns agents in index order, each to a hospital on its list
-that lists it back and has enough residual capacity, or to nothing (tried
-last). The enumeration queries prune on capacity only; ``max-occ`` also cuts a
-branch once its matched size plus the sizes of all agents still to come cannot
-beat the best stable value found. Stability predicates are evaluated at the
-leaves because blocking-pair absence is not prefix-monotone. Every bound in
-the budget (node count, wall clock, solution cap) aborts the sweep with an
-explicit ``budget_exhausted`` verdict rather than truncating silently.
+Every plain query is a loop over one explicit-stack search, ``_search``. It
+assigns agents in index order, each to a hospital on its list that lists it
+back and has enough residual capacity, or to nothing (tried last, and not at
+all for ``a-perfect``), and counts one node per descent. The enumeration
+queries prune on capacity only; ``max-occ`` also cuts a branch once its
+matched size plus the sizes of all agents still to come cannot beat the best
+stable value found. Stability predicates are evaluated at the leaves because
+blocking-pair absence is not prefix-monotone. Every bound in the budget (node
+count, wall clock, solution cap) aborts the sweep with an explicit
+``budget_exhausted`` verdict rather than truncating silently.
 
 The ``decompose`` strategy for the stable-matching query splits the instance
 into blocks that touch each other only through a set of interface hospitals.
@@ -22,9 +24,10 @@ instances produced by the stable-target reduction tractable.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .model import UNMATCHED, HrsError, HrsInstance, Matching, matching_size
 from .reduce import SmtiInstance, SmtiMatching, is_weakly_stable
@@ -80,10 +83,6 @@ class _SolutionCap(Exception):
     pass
 
 
-class _Found(Exception):
-    pass
-
-
 class _Ticker:
     """Shared node counter enforcing max_nodes and the deadline."""
 
@@ -114,6 +113,78 @@ def _listed_prefs(inst: HrsInstance) -> list[list[int]]:
     ]
 
 
+def _search(
+    sizes: Sequence[int],
+    caps: Sequence[int],
+    prefs: Sequence[Sequence[int]],
+    ticker: _Ticker,
+    perfect: bool = False,
+    floor: list[int] | None = None,
+) -> Iterator[tuple[list[int], list[int], int]]:
+    """Depth-first sweep over feasible assignments, in canonical order: agents
+    by index, each first to every hospital of ``prefs[a]`` with room, in list
+    order, then to nothing (skipped when ``perfect``). Yields the live
+    ``(assign, occ, matched size)`` at each leaf; the caller copies what it
+    keeps. Each descent ticks once.
+
+    A branch is cut when its matched size plus the sizes of all later agents
+    with a nonempty list is at most ``floor[0]``; the caller may raise
+    ``floor[0]`` between leaves. The default floor of -1 cuts nothing. The
+    stack is explicit, so the agent count is not bounded by the recursion
+    limit."""
+    n = len(sizes)
+    floor = floor if floor is not None else [-1]
+    widths = [len(options) for options in prefs]
+    # rest[a]: the most that agents a.. can still add to the matched size
+    rest = [0] * (n + 1)
+    for a in range(n - 1, -1, -1):
+        rest[a] = rest[a + 1] + (sizes[a] if widths[a] else 0)
+    assign = [UNMATCHED] * n
+    occ = [0] * len(caps)
+    # choice[a]: position in prefs[a] of a's next branch; widths[a] is the
+    # unmatched branch, anything past it means a's branches are exhausted
+    choice = [0] * (n + 1)
+    tick = ticker.tick
+    lo = floor[0]
+    value = 0
+    a = 0
+    while a >= 0:
+        if a == n:
+            yield assign, occ, value
+            lo = floor[0]  # the caller may have raised it
+            a -= 1
+            continue
+        s = sizes[a]
+        h = assign[a]
+        if h != UNMATCHED:  # back from the branch a -> h
+            assign[a] = UNMATCHED
+            occ[h] -= s
+            value -= s
+        if value + rest[a] <= lo:
+            a -= 1
+            continue
+        i = choice[a]
+        width = widths[a]
+        options = prefs[a]
+        while i < width:
+            h = options[i]
+            i += 1
+            if occ[h] + s <= caps[h]:
+                assign[a] = h
+                occ[h] += s
+                value += s
+                break
+        else:
+            if i > width or perfect or value + rest[a + 1] <= lo:
+                a -= 1
+                continue
+            i += 1  # the unmatched branch
+        tick()
+        choice[a] = i
+        a += 1
+        choice[a] = 0
+
+
 def enumerate_feasible(
     inst: HrsInstance, budget: SearchBudget | None = None
 ) -> Iterator[Matching]:
@@ -121,75 +192,36 @@ def enumerate_feasible(
     Raises BudgetExhausted when a bound trips."""
     budget = budget or SearchBudget()
     ticker = _Ticker(budget)
-    n = inst.n_agents
-    sizes, caps, prefs = inst.sizes, inst.caps, _listed_prefs(inst)
-    assign = [UNMATCHED] * n
-    occ = [0] * inst.n_hospitals
     yielded = 0
+    for assign, _, _ in _search(inst.sizes, inst.caps, _listed_prefs(inst), ticker):
+        yield Matching(assign)
+        yielded += 1
+        if budget.max_solutions is not None and yielded >= budget.max_solutions:
+            raise BudgetExhausted(ticker.nodes)
 
-    def rec(a: int) -> Iterator[Matching]:
-        nonlocal yielded
-        if a == n:
+
+def _unblocked(
+    inst: HrsInstance, ticker: _Ticker, mode: str, perfect: bool = False
+) -> Iterator[Matching]:
+    """The feasible matchings with no blocking pair under ``mode``, in search
+    order."""
+    tester = verify.make_blocking_tester(inst, mode)
+    for assign, occ, _ in _search(inst.sizes, inst.caps, _listed_prefs(inst), ticker, perfect):
+        if not tester(assign, occ):
             yield Matching(assign)
-            yielded += 1
-            if budget.max_solutions is not None and yielded >= budget.max_solutions:
-                raise BudgetExhausted(ticker.nodes)
-            return
-        s = sizes[a]
-        for h in prefs[a]:
-            if occ[h] + s <= caps[h]:
-                ticker.tick()
-                assign[a] = h
-                occ[h] += s
-                yield from rec(a + 1)
-                occ[h] -= s
-        ticker.tick()
-        assign[a] = UNMATCHED
-        yield from rec(a + 1)
-
-    yield from rec(0)
 
 
-def _walk(
-    inst: HrsInstance,
-    budget: SearchBudget,
-    perfect: bool,
-    on_leaf: Callable[[list[int], list[int]], None],
-) -> tuple[str, int]:
-    """Callback-style sweep over feasible (optionally all-agents-matched)
-    assignments; returns (verdict, nodes)."""
+def _all_unblocked(inst: HrsInstance, budget: SearchBudget, mode: str) -> OracleResult:
     ticker = _Ticker(budget)
-    n = inst.n_agents
-    sizes, caps, prefs = inst.sizes, inst.caps, _listed_prefs(inst)
-    assign = [UNMATCHED] * n
-    occ = [0] * inst.n_hospitals
-
-    def rec(a: int) -> None:
-        if a == n:
-            on_leaf(assign, occ)
-            return
-        s = sizes[a]
-        for h in prefs[a]:
-            if occ[h] + s <= caps[h]:
-                ticker.tick()
-                assign[a] = h
-                occ[h] += s
-                rec(a + 1)
-                occ[h] -= s
-        assign[a] = UNMATCHED
-        if not perfect:
-            ticker.tick()
-            rec(a + 1)
-
+    found: list[Matching] = []
     try:
-        rec(0)
-    except BudgetExhausted as exc:
-        return EXHAUSTED, exc.nodes
-    except _SolutionCap:
-        return EXHAUSTED, ticker.nodes
-    except _Found:
-        return COMPLETE, ticker.nodes
-    return COMPLETE, ticker.nodes
+        for m in _unblocked(inst, ticker, mode):
+            found.append(m)
+            if budget.max_solutions is not None and len(found) >= budget.max_solutions:
+                return OracleResult(EXHAUSTED, found, None, ticker.nodes)
+    except BudgetExhausted:
+        return OracleResult(EXHAUSTED, found, None, ticker.nodes)
+    return OracleResult(COMPLETE, found, None, ticker.nodes)
 
 
 def stable_matchings(
@@ -206,35 +238,14 @@ def stable_matchings(
         return _stable_decomposed(inst, budget, interfaces)
     if strategy != PLAIN:
         raise ValueError(f"unknown strategy {strategy!r}")
-    tester = verify.make_blocking_tester(inst, verify.CLASSIC)
-    found: list[Matching] = []
-
-    def on_leaf(assign, occ):
-        if not tester(assign, occ):
-            found.append(Matching(assign))
-            if budget.max_solutions is not None and len(found) >= budget.max_solutions:
-                raise _SolutionCap
-
-    verdict, nodes = _walk(inst, budget, False, on_leaf)
-    return OracleResult(verdict, found, None, nodes)
+    return _all_unblocked(inst, budget, verify.CLASSIC)
 
 
 def occupancy_stable_matchings(
     inst: HrsInstance, budget: SearchBudget | None = None
 ) -> OracleResult:
     """All occupancy-stable matchings; nonempty whenever the sweep completes."""
-    budget = budget or SearchBudget()
-    tester = verify.make_blocking_tester(inst, verify.OCCUPANCY)
-    found: list[Matching] = []
-
-    def on_leaf(assign, occ):
-        if not tester(assign, occ):
-            found.append(Matching(assign))
-            if budget.max_solutions is not None and len(found) >= budget.max_solutions:
-                raise _SolutionCap
-
-    verdict, nodes = _walk(inst, budget, False, on_leaf)
-    return OracleResult(verdict, found, None, nodes)
+    return _all_unblocked(inst, budget or SearchBudget(), verify.OCCUPANCY)
 
 
 def max_occupancy_stable(
@@ -242,74 +253,28 @@ def max_occupancy_stable(
 ) -> OracleResult:
     """An occupancy-stable matching of maximum total size, with its value.
 
-    Branch and bound over the same search order as the other queries: the
-    matched size is carried down, and a branch is cut when that size plus the
-    sizes of every later agent with a nonempty list cannot exceed the best
-    stable value so far. A leaf replaces the incumbent only when strictly
-    larger, so the cut never changes the answer: the first maximum in search
-    order. The walk keeps its own stack, so the agent count is not bounded by
-    Python's recursion limit."""
+    Branch and bound over the common search: the floor is the best stable
+    value so far, so a branch is cut when its matched size plus the sizes of
+    every later agent with a nonempty list cannot exceed it. A leaf replaces
+    the incumbent only when strictly larger, so the cut never changes the
+    answer: the first maximum in search order."""
     budget = budget or SearchBudget()
     tester = verify.make_blocking_tester(inst, verify.OCCUPANCY)
     ticker = _Ticker(budget)
-    n = inst.n_agents
-    sizes, caps, prefs = inst.sizes, inst.caps, _listed_prefs(inst)
-    # rest[a]: the most that agents a.. can still add to the matched size
-    rest = [0] * (n + 1)
-    for a in range(n - 1, -1, -1):
-        rest[a] = rest[a + 1] + (sizes[a] if prefs[a] else 0)
-    assign = [UNMATCHED] * n
-    occ = [0] * inst.n_hospitals
-    # choice[a]: position in prefs[a] of a's next branch; len(prefs[a]) is the
-    # unmatched branch, anything past it means a's branches are exhausted
-    choice = [0] * n
     best: list[Matching] = []
-    best_value = -1
-    value = 0
-    a = 0
+    floor = [-1]
+    verdict = COMPLETE
     try:
-        while a >= 0:
-            if a == n:
-                # the bound let this leaf through, so value > best_value
-                if not tester(assign, occ):
-                    best_value = value
-                    best[:] = [Matching(assign)]
-                a -= 1
-                continue
-            s = sizes[a]
-            h = assign[a]
-            if h != UNMATCHED:  # back from the branch a -> h
-                assign[a] = UNMATCHED
-                occ[h] -= s
-                value -= s
-            options = prefs[a]
-            i = choice[a]
-            descend = False
-            if value + rest[a] > best_value:
-                while i < len(options) and not descend:
-                    h = options[i]
-                    i += 1
-                    if occ[h] + s <= caps[h]:
-                        ticker.tick()
-                        assign[a] = h
-                        occ[h] += s
-                        value += s
-                        descend = True
-                if not descend and i == len(options):
-                    i += 1
-                    if value + rest[a + 1] > best_value:
-                        ticker.tick()
-                        descend = True
-            choice[a] = i
-            if descend:
-                a += 1
-                if a < n:
-                    choice[a] = 0
-            else:
-                a -= 1
-    except BudgetExhausted as exc:
-        return OracleResult(EXHAUSTED, best, best_value if best else None, exc.nodes)
-    return OracleResult(COMPLETE, best, best_value if best else None, ticker.nodes)
+        for assign, occ, value in _search(
+            inst.sizes, inst.caps, _listed_prefs(inst), ticker, floor=floor
+        ):
+            # the cut let this leaf through, so value > floor[0]
+            if not tester(assign, occ):
+                floor[0] = value
+                best[:] = [Matching(assign)]
+    except BudgetExhausted:
+        verdict = EXHAUSTED
+    return OracleResult(verdict, best, floor[0] if best else None, ticker.nodes)
 
 
 def exists_a_perfect_occupancy_stable(
@@ -318,18 +283,14 @@ def exists_a_perfect_occupancy_stable(
     """Decision: is there an occupancy-stable matching with every agent
     matched? Complete with a witness when yes; complete and empty when the
     full sweep finds none."""
-    budget = budget or SearchBudget()
-    tester = verify.make_blocking_tester(inst, verify.OCCUPANCY)
-    found: list[Matching] = []
-
-    def on_leaf(assign, occ):
-        if not tester(assign, occ):
-            found.append(Matching(assign))
-            raise _Found
-
-    verdict, nodes = _walk(inst, budget, True, on_leaf)
-    value = matching_size(inst, found[0]) if found else None
-    return OracleResult(verdict, found, value, nodes)
+    ticker = _Ticker(budget or SearchBudget())
+    try:
+        witness = next(_unblocked(inst, ticker, verify.OCCUPANCY, perfect=True), None)
+    except BudgetExhausted:
+        return OracleResult(EXHAUSTED, [], None, ticker.nodes)
+    if witness is None:
+        return OracleResult(COMPLETE, [], None, ticker.nodes)
+    return OracleResult(COMPLETE, [witness], matching_size(inst, witness), ticker.nodes)
 
 
 def smti_complete_stable(smti: SmtiInstance) -> SmtiMatching | None:
@@ -341,30 +302,14 @@ def smti_complete_stable(smti: SmtiInstance) -> SmtiMatching | None:
     if smti.n_men != smti.n_women:
         return None
     n = smti.n_men
-    choices = [
-        [w for group in smti.men_prefs[m] for w in group] for m in range(n)
-    ]
-    taken = [False] * smti.n_women
-    assign = [UNMATCHED] * n
-
-    def rec(m: int) -> SmtiMatching | None:
-        if m == n:
-            candidate = SmtiMatching(assign)
-            if is_weakly_stable(smti, candidate):
-                return candidate
-            return None
-        for w in choices[m]:
-            if not taken[w]:
-                assign[m] = w
-                taken[w] = True
-                result = rec(m + 1)
-                taken[w] = False
-                if result is not None:
-                    return result
-        assign[m] = UNMATCHED
-        return None
-
-    return rec(0)
+    choices = [[w for group in smti.men_prefs[m] for w in group] for m in range(n)]
+    # at most 7! complete assignments: the default node budget never trips
+    ticker = _Ticker(SearchBudget())
+    for assign, _, _ in _search([1] * n, [1] * smti.n_women, choices, ticker, perfect=True):
+        candidate = SmtiMatching(assign)
+        if is_weakly_stable(smti, candidate):
+            return candidate
+    return None
 
 
 # --- decomposition strategy ---------------------------------------------------
@@ -518,9 +463,10 @@ def auto_interfaces(inst: HrsInstance, max_block_agents: int = 12) -> list[int]:
 
 
 def _interface_states(inst: HrsInstance, h: int) -> list[tuple[int, ...]]:
-    """Every subset of h's listed agents whose sizes fit its capacity, the
-    empty set first; these are the possible resident sets of h."""
-    neighbors = sorted(inst.hospital_prefs[h])
+    """Every subset of the agents that h lists and that list h back whose
+    sizes fit its capacity, the empty set first; these are the possible
+    resident sets of h."""
+    neighbors = sorted(a for a in inst.hospital_prefs[h] if h in inst.agent_rank[a])
     if len(neighbors) > 16:
         raise ValueError(
             f"interface hospital {inst.hospital_labels[h]} lists {len(neighbors)} "
@@ -539,6 +485,7 @@ def _interface_states(inst: HrsInstance, h: int) -> list[tuple[int, ...]]:
 
 def _block_solutions(
     inst: HrsInstance,
+    prefs: list[list[int]],
     block_agents: Sequence[int],
     block_hospitals: Sequence[int],
     iface_state: dict[int, tuple[int, ...]],
@@ -547,12 +494,13 @@ def _block_solutions(
     """All assignments of the block agents (as tuples aligned with
     block_agents; UNMATCHED allowed) that are feasible, consistent with the
     interface state, and free of blocking pairs involving block agents.
+    ``prefs`` are the agents' lists as ``_listed_prefs`` gives them.
 
     Interface pairs are checked the moment the agent is assigned; pairs at an
     internal hospital are checked once its last listed agent is assigned.
     """
-    sizes, caps, prefs = inst.sizes, inst.caps, inst.agent_prefs
-    hospital_rank = inst.hospital_rank
+    sizes, caps = inst.sizes, inst.caps
+    hospital_rank, agent_rank = inst.hospital_rank, inst.agent_rank
     agents = list(block_agents)
     internal = set(block_hospitals)
     pos = {a: i for i, a in enumerate(agents)}
@@ -602,11 +550,11 @@ def _block_solutions(
         cap = caps[h]
         residents = members_at[h]
         for b in inst.hospital_prefs[h]:
-            if b not in pos or assign.get(b) == h:
+            if b not in pos or assign.get(b) == h or h not in agent_rank[b]:
                 continue
             cur = assign[b]
             # does b prefer h to its assignment?
-            if cur != UNMATCHED and inst.agent_rank[b][h] >= inst.agent_rank[b][cur]:
+            if cur != UNMATCHED and agent_rank[b][h] >= agent_rank[b][cur]:
                 continue
             need = o + sizes[b] - cap
             if need <= 0:
@@ -680,6 +628,7 @@ def _stable_decomposed(
         touched = sorted({owner[a] for a in inst.hospital_prefs[h]})
         for bi in touched:
             relevant[bi].append(h)
+    prefs = _listed_prefs(inst)
     memo: dict[tuple, list[tuple[int, ...]]] = {}
     found: list[Matching] = []
 
@@ -691,7 +640,7 @@ def _stable_decomposed(
         if key not in memo:
             sub_state = {h: state[h] for h in relevant[bi]}
             memo[key] = _block_solutions(
-                inst, blocks[bi][0], blocks[bi][1], sub_state, ticker
+                inst, prefs, blocks[bi][0], blocks[bi][1], sub_state, ticker
             )
         return memo[key]
 
@@ -703,21 +652,15 @@ def _stable_decomposed(
                 return
             per_block.append(sols)
 
+        # the blocks cover every agent, so each combination rewrites all of assign
         assign = [UNMATCHED] * inst.n_agents
-
-        def product(bi: int) -> None:
-            if bi == len(blocks):
-                found.append(Matching(assign))
-                if budget.max_solutions is not None and len(found) >= budget.max_solutions:
-                    raise _SolutionCap
-                return
-            agents = blocks[bi][0]
-            for sol in per_block[bi]:
+        for combo in itertools.product(*per_block):
+            for (agents, _), sol in zip(blocks, combo):
                 for a, h in zip(agents, sol):
                     assign[a] = h
-                product(bi + 1)
-
-        product(0)
+            found.append(Matching(assign))
+            if budget.max_solutions is not None and len(found) >= budget.max_solutions:
+                raise _SolutionCap
 
     state: dict[int, tuple[int, ...]] = {}
     claimed: set[int] = set()

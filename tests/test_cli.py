@@ -110,15 +110,22 @@ def test_oracle_max_occ(capsys, example_files):
     assert data["value"] == 7 and data["witness"]["size"] == 7
 
 
-def test_oracle_max_occ_many_agents(capsys, tmp_path):
+@pytest.mark.parametrize("options, value", [
+    (["--query", "stable"], None),
+    (["--query", "stable", "--strategy", "decompose"], None),
+    (["--query", "occ-stable"], None),
+    (["--query", "max-occ"], 0),
+    (["--query", "a-perfect"], None),
+], ids=["stable", "stable-decompose", "occ-stable", "max-occ", "a-perfect"])
+def test_oracle_max_occ_many_agents(capsys, tmp_path, options, value):
     # far deeper than Python's recursion limit: the search keeps its own stack
     inst = HrsInstance.build([(f"a{i}", 1, []) for i in range(1500)], [("h1", 1, [])])
     path = tmp_path / "wide.hrs"
     path.write_text(serialize_instance(inst))
-    code, out, err = run(capsys, "oracle", str(path), "--query", "max-occ")
+    code, out, err = run(capsys, "oracle", str(path), *options)
     assert code == 0 and "Traceback" not in err
     data = json.loads(out)
-    assert data["verdict"] == "complete" and data["value"] == 0
+    assert data["verdict"] == "complete" and data["value"] == value
 
 
 def test_oracle_a_perfect(capsys, example_files):

@@ -176,11 +176,18 @@ def test_max_occ_reference_node_count_is_exact():
             list(enumerate_feasible(inst, SearchBudget(max_nodes=nodes - 1)))
 
 
-def test_max_occ_many_agents_without_recursion():
+@pytest.mark.parametrize("query, value, witnesses", [
+    (stable_matchings, None, 1),
+    (lambda inst: stable_matchings(inst, strategy="decompose"), None, 1),
+    (occupancy_stable_matchings, None, 1),
+    (max_occupancy_stable, 0, 1),
+    (exists_a_perfect_occupancy_stable, None, 0),
+], ids=["stable", "stable-decompose", "occ-stable", "max-occ", "a-perfect"])
+def test_max_occ_many_agents_without_recursion(query, value, witnesses):
     inst = HrsInstance.build([(f"a{i}", 1, []) for i in range(1500)], [("h1", 1, [])])
-    res = max_occupancy_stable(inst)
-    assert res.complete and res.value == 0
-    assert res.matchings == [Matching.empty(inst)]
+    res = query(inst)
+    assert res.complete and res.value == value
+    assert res.matchings == [Matching.empty(inst)] * witnesses
 
 
 def test_max_occ_budget_keeps_incumbent():
@@ -233,6 +240,27 @@ def test_oracle_agrees_with_verifiers_on_unlisted_edge(one_sided_inst):
             assert (m.assign in occ) == is_occupancy_stable(inst, m)
         else:
             assert m.assign not in occ
+
+
+def test_decompose_skips_unlisted_edge():
+    # h1 lists nobody, so a1 -> h1 is not a feasible pair
+    inst = HrsInstance.build(
+        [("a1", 1, ["h1", "h2"]), ("a2", 1, ["h2"])],
+        [("h1", 1, []), ("h2", 1, ["a2", "a1"])],
+    )
+    res = stable_matchings(inst, strategy="decompose")
+    assert res.complete and [m.assign for m in res.matchings] == [(UNMATCHED, 1)]
+    assert res.matchings == stable_matchings(inst).matchings
+
+
+def test_decompose_interface_skips_unlisted_edge():
+    # interface h1 lists a2, which does not list h1, and does not list a1
+    inst = HrsInstance.build(
+        [("a1", 1, ["h2", "h1"]), ("a2", 1, ["h2"])],
+        [("h1", 1, ["a2"]), ("h2", 1, ["a2", "a1"])],
+    )
+    res = stable_matchings(inst, strategy="decompose", interfaces=[0])
+    assert res.complete and res.matchings == stable_matchings(inst).matchings
 
 
 def test_a_perfect_decision(no_stable_inst, gap_inst):
