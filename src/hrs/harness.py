@@ -63,87 +63,66 @@ class GenParams:
             raise ValueError("density must lie in [0, 1]")
 
 
-def _sample_edges(params: GenParams, rng: random.Random) -> list[list[int]]:
-    """Neighbor hospital lists per agent (unordered)."""
-    if params.density >= 1.0:
-        return [list(range(params.n_hospitals)) for _ in range(params.n_agents)]
-    return [
-        [h for h in range(params.n_hospitals) if rng.random() < params.density]
-        for _ in range(params.n_agents)
-    ]
-
-
 def gen_random(params: GenParams) -> HrsInstance:
     """Uniform random instance: sizes and capacities from the given ranges,
     each edge present with the given density, both sides' lists uniformly
     shuffled. Agents with empty lists are allowed (trivially unmatched)."""
-    params.check()
-    rng = random.Random(params.seed)
-    sizes = [rng.randint(*params.size_range) for _ in range(params.n_agents)]
-    caps = [rng.randint(*params.cap_range) for _ in range(params.n_hospitals)]
-    neighbors = _sample_edges(params, rng)
-    agent_lists = []
-    for a in range(params.n_agents):
-        lst = list(neighbors[a])
-        rng.shuffle(lst)
-        agent_lists.append(lst)
-    hospital_neighbors: list[list[int]] = [[] for _ in range(params.n_hospitals)]
-    for a in range(params.n_agents):
-        for h in neighbors[a]:
-            hospital_neighbors[h].append(a)
-    hospital_lists = []
-    for h in range(params.n_hospitals):
-        lst = list(hospital_neighbors[h])
-        rng.shuffle(lst)
-        hospital_lists.append(lst)
-    return _assemble(sizes, caps, agent_lists, hospital_lists)
+    return _generate(params, lambda sizes, rng: [0] * len(sizes))
 
 
 def gen_master_list(params: GenParams) -> HrsInstance:
     """Random instance whose hospital lists all follow one ordered partition
     of the agents into size classes, so an ordering is always detectable:
     hospital lists are built class by class in a common random class order."""
+
+    def size_class_rank(sizes: list[int], rng: random.Random) -> list[int]:
+        distinct = sorted(set(sizes))
+        rng.shuffle(distinct)
+        rank = {s: i for i, s in enumerate(distinct)}
+        return [rank[s] for s in sizes]
+
+    return _generate(params, size_class_rank)
+
+
+def _generate(
+    params: GenParams, class_rank: Callable[[list[int], random.Random], list[int]]
+) -> HrsInstance:
+    """Random instance: each edge present with the given density, agent lists
+    uniformly shuffled, and hospital lists ranking agents class by class in
+    the order of ``class_rank(sizes, rng)`` (one rank per agent), shuffled
+    within each class. Agents with empty lists are allowed."""
     params.check()
     rng = random.Random(params.seed)
-    sizes = [rng.randint(*params.size_range) for _ in range(params.n_agents)]
-    caps = [rng.randint(*params.cap_range) for _ in range(params.n_hospitals)]
-    neighbors = _sample_edges(params, rng)
-    distinct = sorted(set(sizes))
-    rng.shuffle(distinct)
-    class_rank = {s: i for i, s in enumerate(distinct)}
-    agent_lists = []
-    for a in range(params.n_agents):
-        lst = list(neighbors[a])
-        rng.shuffle(lst)
-        agent_lists.append(lst)
-    hospital_neighbors: list[list[int]] = [[] for _ in range(params.n_hospitals)]
-    for a in range(params.n_agents):
-        for h in neighbors[a]:
-            hospital_neighbors[h].append(a)
+    n_agents, n_hospitals = params.n_agents, params.n_hospitals
+    sizes = [rng.randint(*params.size_range) for _ in range(n_agents)]
+    caps = [rng.randint(*params.cap_range) for _ in range(n_hospitals)]
+    if params.density >= 1.0:
+        agent_lists = [list(range(n_hospitals)) for _ in range(n_agents)]
+    else:
+        agent_lists = [
+            [h for h in range(n_hospitals) if rng.random() < params.density]
+            for _ in range(n_agents)
+        ]
+    rank = class_rank(sizes, rng)
+    by_class: list[dict[int, list[int]]] = [{} for _ in range(n_hospitals)]
+    for a, hs in enumerate(agent_lists):
+        for h in hs:
+            by_class[h].setdefault(rank[a], []).append(a)
+    for prefs in agent_lists:
+        rng.shuffle(prefs)
     hospital_lists = []
-    for h in range(params.n_hospitals):
-        by_class: dict[int, list[int]] = {}
-        for a in hospital_neighbors[h]:
-            by_class.setdefault(class_rank[sizes[a]], []).append(a)
-        lst: list[int] = []
-        for c in sorted(by_class):
-            group = by_class[c]
-            rng.shuffle(group)
-            lst.extend(group)
-        hospital_lists.append(lst)
-    return _assemble(sizes, caps, agent_lists, hospital_lists)
-
-
-def _assemble(sizes, caps, agent_lists, hospital_lists) -> HrsInstance:
-    agents = [
-        (f"a{a + 1}", sizes[a], [f"h{h + 1}" for h in agent_lists[a]])
-        for a in range(len(sizes))
-    ]
-    hospitals = [
-        (f"h{h + 1}", caps[h], [f"a{a + 1}" for a in hospital_lists[h]])
-        for h in range(len(caps))
-    ]
-    return HrsInstance.build(agents, hospitals)
+    for groups in by_class:
+        prefs = []
+        for c in sorted(groups):
+            rng.shuffle(groups[c])
+            prefs.extend(groups[c])
+        hospital_lists.append(prefs)
+    return HrsInstance.build(
+        [(f"a{a + 1}", sizes[a], [f"h{h + 1}" for h in prefs])
+         for a, prefs in enumerate(agent_lists)],
+        [(f"h{h + 1}", caps[h], [f"a{a + 1}" for a in prefs])
+         for h, prefs in enumerate(hospital_lists)],
+    )
 
 
 def gen_csmti(params: GenParams) -> SmtiInstance:

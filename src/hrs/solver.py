@@ -12,13 +12,14 @@ occupancy-stable and its total size is within a factor 3 of the best
 occupancy-stable matching. Run with any partition the hospital lists follow
 (a generalized master list), the final matching is stable outright.
 
-The full trace (per-round edge sets, residual capacities, round and cumulative
-matchings) is returned so the structural round invariants can be audited:
-round edge sets are pairwise disjoint, the final matching is exactly the union
-of the round matchings, per-hospital occupancy never decreases across rounds,
-and each round matching has no blocking pair within its round's subgraph and
-capacities. The audit of one round costs time proportional to its edges, plus
-C-speed passes over the assignment vectors.
+The full trace (per-round agents, residual capacities, round and cumulative
+matchings) is returned so the round invariants can be audited. It holds no
+edge sets: a round's subgraph is every edge of its agents, so round subgraphs
+are disjoint because the validated partition's classes are. The audit checks
+that each round runs its class on the capacities left by the rounds before,
+that the final matching is exactly the union of the round matchings, that
+occupancy never decreases, and that no round has a blocking pair within its
+subgraph and capacities. One round costs time proportional to its edges.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappush, heapreplace
-from itertools import chain, repeat
+from operator import sub
 from typing import Sequence
 
 from .model import (
@@ -45,7 +46,6 @@ from .verify import find_blocking_pairs_residual
 class SolveRound:
     index: int                      # 1-based round number
     agents: tuple[int, ...]         # the class processed this round
-    edges: tuple[tuple[int, int], ...]
     residual_caps: tuple[int, ...]
     matching: Matching              # pairs added this round
 
@@ -135,16 +135,13 @@ def solve(inst: HrsInstance, partition: OrderedPartition) -> SolveTrace:
     for k, cls in enumerate(partition.classes, start=1):
         residual = tuple(caps[h] - cum_occ[h] for h in range(inst.n_hospitals))
         round_matching = uniform_gs(inst, cls, residual)
-        edges = tuple(chain.from_iterable(
-            zip(repeat(a), inst.agent_prefs[a]) for a in cls
-        ))
         round_assign = round_matching.assign
         for a in cls:
             h = round_assign[a]
             if h != UNMATCHED:
                 cum_assign[a] = h
                 cum_occ[h] += inst.sizes[a]
-        rounds.append(SolveRound(k, cls, edges, residual, round_matching))
+        rounds.append(SolveRound(k, cls, residual, round_matching))
         cumulative.append(Matching(cum_assign))
     final = cumulative[-1] if cumulative else Matching.empty(inst)
     return SolveTrace(partition, tuple(rounds), tuple(cumulative), final)
@@ -172,38 +169,18 @@ def check_trace(inst: HrsInstance, trace: SolveTrace) -> ValidationReport:
         report.add("error", "trace", "cumulative count differs from round count")
         return report
 
-    # rounds must use exactly their class, pairwise edge-disjoint subgraphs;
-    # each round's own blocking audit runs here too, while its edge set is
-    # at hand, and is reported last. round_matched[k] lists the agents round
-    # k matched, ascending
+    # rounds must use exactly their class; each round's own blocking audit
+    # runs here too and is reported last. round_matched[k] lists the agents
+    # round k matched, ascending
     n_agents = inst.n_agents
+    agent_rank = inst.agent_rank
     round_matched: list[list[int]] = []
     blocking_issues: list[tuple[str, str]] = []
-    seen_edges: set[tuple[int, int]] = set()
-    first_round: dict[tuple[int, int], int] | None = None  # built on the first repeat
-    for pos, (rnd, cls) in enumerate(zip(trace.rounds, trace.partition.classes)):
+    for rnd, cls in zip(trace.rounds, trace.partition.classes):
         loc = f"round {rnd.index}"
         if tuple(sorted(rnd.agents)) != tuple(sorted(cls)):
             report.add("error", loc, "round agents differ from partition class")
         agent_set = set(rnd.agents)
-        edge_set = set(rnd.edges)
-        if first_round is None and (
-            len(edge_set) == len(rnd.edges) and seen_edges.isdisjoint(edge_set)
-        ):
-            seen_edges |= edge_set
-        else:
-            if first_round is None:
-                first_round = {}
-                for earlier in trace.rounds[:pos]:
-                    first_round.update(zip(earlier.edges, repeat(earlier.index)))
-            for e in rnd.edges:
-                if e in first_round:
-                    report.add(
-                        "error", loc,
-                        f"edge {e} already in round {first_round[e]}",
-                    )
-                else:
-                    first_round[e] = rnd.index
         assign = rnd.matching.assign
         matched = [
             a for a in sorted(agent_set) if 0 <= a < n_agents and assign[a] != UNMATCHED
@@ -215,11 +192,11 @@ def check_trace(inst: HrsInstance, trace: SolveTrace) -> ValidationReport:
             h = assign[a]
             if a not in agent_set:
                 report.add("error", loc, f"matched agent {inst.agent_labels[a]} outside class")
-            if (a, h) not in edge_set:
+            if a not in agent_set or h not in agent_rank[a]:
                 report.add("error", loc, f"matched pair ({a}, {h}) outside round edges")
         try:
             blocking = find_blocking_pairs_residual(
-                inst, rnd.matching, rnd.residual_caps, edge_set
+                inst, rnd.matching, rnd.residual_caps, rnd.agents
             )
         except ValueError as exc:
             blocking_issues.append((loc, str(exc)))
@@ -256,13 +233,18 @@ def check_trace(inst: HrsInstance, trace: SolveTrace) -> ValidationReport:
     if not (union_ok and tuple(union) == trace.final.assign):
         report.add("error", "final", "final matching differs from union of rounds")
 
-    # per-hospital occupancy must never decrease across cumulative matchings;
-    # a cumulative matching that adds exactly its round's pairs cannot lower
-    # one, so only the others are recounted
+    # a round's residual capacities are what the cumulative matching before it
+    # leaves, and occupancy never decreases; a cumulative matching that adds
+    # exactly its round's pairs cannot lower one, so only the others are recounted
     sizes = inst.sizes
     prev_occ = [0] * inst.n_hospitals
     prev_assign = (UNMATCHED,) * n_agents
     for rnd, cum, matched, ok in zip(trace.rounds, trace.cumulative, round_matched, consistent):
+        if list(map(sub, inst.caps, prev_occ)) != list(rnd.residual_caps):
+            report.add(
+                "error", f"round {rnd.index}",
+                "residual capacities differ from capacities minus earlier occupancy",
+            )
         if ok:
             occ = prev_occ[:]
             for a in matched:
@@ -295,7 +277,9 @@ def trace_to_json(inst: HrsInstance, trace: SolveTrace) -> dict:
                 "k": rnd.index,
                 "agents": [inst.agent_labels[a] for a in rnd.agents],
                 "edges": [
-                    [inst.agent_labels[a], inst.hospital_labels[h]] for a, h in rnd.edges
+                    [inst.agent_labels[a], inst.hospital_labels[h]]
+                    for a in rnd.agents
+                    for h in inst.agent_prefs[a]
                 ],
                 "residual_caps": {
                     inst.hospital_labels[h]: rnd.residual_caps[h]

@@ -26,7 +26,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .model import (
@@ -119,7 +118,6 @@ def _scan_pairs(
     kind: str,
     caps: Sequence[int],
     agents: Iterable[int],
-    allowed: set[tuple[int, int]] | None,
     collect: bool,
     out: list[BlockingWitness] | None,
 ) -> bool:
@@ -174,9 +172,6 @@ def _scan_pairs(
                         continue
                 elif evictable[i] < need:
                     continue
-            # tested last: few pairs get this far
-            if allowed is not None and (a, h) not in allowed:
-                continue
             found = True
             if not collect:
                 return True
@@ -201,7 +196,7 @@ def _scan_all(inst: HrsInstance, matching: Matching, kind: str, collect: bool,
               out: list[BlockingWitness] | None) -> bool:
     _require_feasible(inst, matching)
     return _scan_pairs(
-        inst, matching.assign, kind, inst.caps, range(inst.n_agents), None, collect, out
+        inst, matching.assign, kind, inst.caps, range(inst.n_agents), collect, out
     )
 
 
@@ -223,28 +218,29 @@ def find_blocking_pairs_residual(
     inst: HrsInstance,
     matching: Matching,
     residual_caps: Sequence[int],
-    subgraph: Iterable[tuple[int, int]],
+    agents: Iterable[int],
 ) -> list[BlockingWitness]:
-    """Classic blocking pairs restricted to an edge subset under substitute
+    """Classic blocking pairs among the given agents under substitute
     capacities; used to audit one solver round at a time.
 
-    The matching must match only agents named in the subgraph, along subgraph
-    edges, within the residual capacities. Work is proportional to the
-    subgraph's edges plus C-speed passes over the capacity and assignment
-    vectors, so auditing every round of a solve costs about one full scan.
+    The subgraph is every edge of the given agents; out-of-range indices are
+    ignored. The matching must match only those agents, along their lists,
+    within the residual capacities. Work is proportional to the agents' edges
+    plus C-speed passes over the capacity and assignment vectors, so auditing
+    every round of a solve costs about one full scan.
     """
     residual_caps = list(residual_caps)
     if len(residual_caps) != inst.n_hospitals:
         raise ValueError("residual capacity vector has wrong length")
     if residual_caps and min(residual_caps) < 0:
         raise ValueError("negative residual capacity")
-    allowed = set(subgraph)
     n_agents = inst.n_agents
-    agents = sorted(a for a in set(map(itemgetter(0), allowed)) if 0 <= a < n_agents)
+    agent_set = {a for a in agents if 0 <= a < n_agents}
+    agents = sorted(agent_set)
     assign = matching.assign
     matched = [a for a in agents if assign[a] != UNMATCHED]
     if len(matched) != len(assign) - assign.count(UNMATCHED):
-        # some matched agent lies outside the subgraph: check every agent so
+        # some matched agent lies outside the given ones: check every agent so
         # the report names the same first fault as a full scan would
         matched = [a for a, h in enumerate(assign) if h != UNMATCHED]
     sizes = inst.sizes
@@ -259,7 +255,7 @@ def find_blocking_pairs_residual(
             )
     for a in matched:
         h = assign[a]
-        if (a, h) not in allowed:
+        if a not in agent_set or h not in inst.agent_rank[a]:
             raise ValueError(
                 f"matched pair ({inst.agent_labels[a]}, {inst.hospital_labels[h]}) "
                 "outside the given subgraph"
@@ -270,7 +266,7 @@ def find_blocking_pairs_residual(
                 "not listed by the hospital"
             )
     out: list[BlockingWitness] = []
-    _scan_pairs(inst, assign, CLASSIC, residual_caps, agents, allowed, True, out)
+    _scan_pairs(inst, assign, CLASSIC, residual_caps, agents, True, out)
     return out
 
 

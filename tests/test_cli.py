@@ -41,6 +41,10 @@ def test_solve_writes_trace_only_with_flag(capsys, example_files, tmp_path):
     assert code == 0
     trace = json.loads(trace_path.read_text())
     assert len(trace["rounds"]) == 2
+    assert [r["edges"] for r in trace["rounds"]] == [
+        [["a3", "h2"]],
+        [["a1", "h2"], ["a1", "h1"], ["a2", "h1"], ["a2", "h2"]],
+    ]
     assert trace["final"]["size"] == 3
 
 

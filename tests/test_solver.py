@@ -106,18 +106,15 @@ def test_check_trace_on_random_instances():
         assert is_occupancy_stable(inst, trace.final)
 
 
-def test_check_trace_catches_duplicated_edge(no_stable_inst):
+def test_check_trace_catches_overlapping_round_agents(no_stable_inst):
     trace = solve(no_stable_inst, size_descending_partition(no_stable_inst))
     r0, r1 = trace.rounds
-    shared = r0.edges[0]
-    corrupted = SolveTrace(
-        trace.partition,
-        (r0, SolveRound(r1.index, r1.agents, r1.edges + (shared,), r1.residual_caps, r1.matching)),
-        trace.cumulative,
-        trace.final,
-    )
-    report = check_trace(no_stable_inst, corrupted)
-    assert any("already in round" in i.message for i in report.issues)
+    # round two also claims round one's agent, so its subgraph overlaps round one's
+    overlapping = SolveRound(r1.index, r1.agents + r0.agents, r1.residual_caps, r1.matching)
+    corrupted = SolveTrace(trace.partition, (r0, overlapping), trace.cumulative, trace.final)
+    assert issues(check_trace(no_stable_inst, corrupted)) == [
+        ("error", "round 2", "round agents differ from partition class"),
+    ]
 
 
 def test_check_trace_catches_missing_union(no_stable_inst):
@@ -152,7 +149,7 @@ def tampered_round(trace, k, pairs, inst):
     the cumulative and final matchings rebuilt to stay consistent with it."""
     rounds = list(trace.rounds)
     r = rounds[k]
-    rounds[k] = SolveRound(r.index, r.agents, r.edges, r.residual_caps,
+    rounds[k] = SolveRound(r.index, r.agents, r.residual_caps,
                            Matching.from_labeled_pairs(inst, pairs))
     cumulative, union = [], {}
     for rnd in rounds:
@@ -178,7 +175,7 @@ def test_check_trace_catches_agent_outside_round(no_stable_inst):
     trace = solve(no_stable_inst, size_descending_partition(no_stable_inst))
     # a1 belongs to round two's class but is matched in round one
     r0, r1 = trace.rounds
-    moved = SolveRound(r0.index, r0.agents, r0.edges, r0.residual_caps,
+    moved = SolveRound(r0.index, r0.agents, r0.residual_caps,
                        Matching.from_labeled_pairs(no_stable_inst, [("a3", "h2"), ("a1", "h1")]))
     corrupted = SolveTrace(trace.partition, (moved, r1), trace.cumulative, trace.final)
     assert issues(check_trace(no_stable_inst, corrupted)) == [
@@ -186,6 +183,22 @@ def test_check_trace_catches_agent_outside_round(no_stable_inst):
         ("error", "round 1", "matched pair (0, 0) outside round edges"),
         ("error", "round 1", "cumulative matching is not the union so far"),
         ("error", "round 1", "matched pair (a1, h1) outside the given subgraph"),
+    ]
+
+
+def test_check_trace_catches_inflated_residual_caps(no_stable_inst):
+    inst = no_stable_inst
+    trace = solve(inst, size_descending_partition(inst))
+    # round two claims h2's full capacity back although round one's a3 holds
+    # it, so a1 joins a3 and h2 ends over capacity
+    tampered = tampered_round(trace, 1, [("a1", "h2"), ("a2", "h1")], inst)
+    r1 = tampered.rounds[1]
+    inflated = SolveRound(r1.index, r1.agents, (1, 2), r1.matching)
+    corrupted = SolveTrace(tampered.partition, (tampered.rounds[0], inflated),
+                           tampered.cumulative, tampered.final)
+    assert is_feasible(inst, corrupted.final) == (False, "hospital h2 over capacity: 3 > 2")
+    assert issues(check_trace(inst, corrupted)) == [
+        ("error", "round 2", "residual capacities differ from capacities minus earlier occupancy"),
     ]
 
 

@@ -134,7 +134,8 @@ def test_residual_vs_naive_enumeration():
     checked = 0
     for inst in small_random_instances(60, seed=37, max_agents=5):
         for _ in range(3):
-            subgraph = [e for e in inst.edges() if rng.random() < 0.7]
+            agents = [a for a in range(inst.n_agents) if rng.random() < 0.7]
+            subgraph = [(a, h) for a in agents for h in inst.agent_prefs[a]]
             caps = [rng.randint(0, c) for c in inst.caps]
             restricted = HrsInstance(
                 inst.agent_labels, inst.sizes, inst.agent_prefs,
@@ -146,7 +147,7 @@ def test_residual_vs_naive_enumeration():
                        for a, h in enumerate(matching.assign)):
                     continue
                 checked += 1
-                got = find_blocking_pairs_residual(inst, matching, caps, subgraph)
+                got = find_blocking_pairs_residual(inst, matching, caps, agents)
                 want = [e for e in naive_blocking_pairs(restricted, matching, "classic")
                         if e in allowed]
                 assert [(w.agent, w.hospital) for w in got] == want
@@ -219,15 +220,14 @@ def test_residual_round_two(no_stable_inst):
     inst = no_stable_inst
     # after the size-2 round matched a3 to h2, round two sees h1:1, h2:0
     m2 = Matching.from_labeled_pairs(inst, [("a1", "h1")])
-    edges = [(0, 1), (0, 0), (1, 0), (1, 1)]  # a1 and a2 edges
-    assert find_blocking_pairs_residual(inst, m2, [1, 0], edges) == []
+    assert find_blocking_pairs_residual(inst, m2, [1, 0], [0, 1]) == []  # a1 and a2
 
 
 def test_residual_degenerate_equals_full(no_stable_inst):
     inst = no_stable_inst
     m = Matching.from_labeled_pairs(inst, [("a1", "h2"), ("a2", "h2")])
     full = find_blocking_pairs(inst, m)
-    residual = find_blocking_pairs_residual(inst, m, inst.caps, list(inst.edges()))
+    residual = find_blocking_pairs_residual(inst, m, inst.caps, range(inst.n_agents))
     assert [(w.agent, w.hospital, w.displaced) for w in full] == [
         (w.agent, w.hospital, w.displaced) for w in residual
     ]
