@@ -10,6 +10,7 @@ from .model import (
     InstanceError,
     Matching,
     ValidationReport,
+    check_instance_data,
     induced_subinstance,
     is_feasible,
     matching_from_json,

@@ -298,7 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, InstanceError) as exc:
+    except (FormatError, InstanceError, UnicodeDecodeError) as exc:
         print(f"hrs: {exc}", file=sys.stderr)
         return EXIT_IO
     except oracle.BudgetExhausted as exc:

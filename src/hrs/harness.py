@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
-from typing import Callable
+from typing import Callable, Iterator
 
 from .model import HrsInstance, induced_subinstance, matching_size, serialize_instance
 from .oracle import (
@@ -117,11 +117,9 @@ def _generate(
             rng.shuffle(groups[c])
             prefs.extend(groups[c])
         hospital_lists.append(prefs)
-    return HrsInstance.build(
-        [(f"a{a + 1}", sizes[a], [f"h{h + 1}" for h in prefs])
-         for a, prefs in enumerate(agent_lists)],
-        [(f"h{h + 1}", caps[h], [f"a{a + 1}" for a in prefs])
-         for h, prefs in enumerate(hospital_lists)],
+    return HrsInstance(
+        [f"a{a}" for a in range(1, n_agents + 1)], sizes, agent_lists,
+        [f"h{h}" for h in range(1, n_hospitals + 1)], caps, hospital_lists,
     )
 
 
@@ -239,18 +237,23 @@ def master_list_example() -> HrsInstance:
 
 
 def _without_edge(inst: HrsInstance, edge: tuple[int, int]) -> HrsInstance:
-    ea, eh = edge
-    agents = [
-        (inst.agent_labels[a], inst.sizes[a],
-         [inst.hospital_labels[h] for h in inst.agent_prefs[a] if (a, h) != (ea, eh)])
-        for a in range(inst.n_agents)
-    ]
-    hospitals = [
-        (inst.hospital_labels[h], inst.caps[h],
-         [inst.agent_labels[a] for a in inst.hospital_prefs[h] if (a, h) != (ea, eh)])
-        for h in range(inst.n_hospitals)
-    ]
-    return HrsInstance.build(agents, hospitals)
+    return HrsInstance(
+        inst.agent_labels, inst.sizes,
+        [[h for h in p if (a, h) != edge] for a, p in enumerate(inst.agent_prefs)],
+        inst.hospital_labels, inst.caps,
+        [[a for a in p if (a, h) != edge] for h, p in enumerate(inst.hospital_prefs)],
+    )
+
+
+def _one_smaller(inst: HrsInstance) -> Iterator[HrsInstance]:
+    """The instance without one agent, then one hospital, then one edge."""
+    agents, hospitals = range(inst.n_agents), range(inst.n_hospitals)
+    for a in agents:
+        yield induced_subinstance(inst, [b for b in agents if b != a], hospitals)
+    for h in hospitals:
+        yield induced_subinstance(inst, agents, [g for g in hospitals if g != h])
+    for edge in inst.edges():
+        yield _without_edge(inst, edge)
 
 
 def shrink_instance(
@@ -259,34 +262,11 @@ def shrink_instance(
     """Greedy local minimization: repeatedly drop one agent, hospital or edge
     while the predicate keeps failing; the result admits no further single
     removal."""
-    current = inst
-    changed = True
-    while changed:
-        changed = False
-        for a in range(current.n_agents):
-            candidate = induced_subinstance(
-                current, [b for b in range(current.n_agents) if b != a], range(current.n_hospitals)
-            )
-            if _fails(candidate, still_fails):
-                current, changed = candidate, True
-                break
-        if changed:
-            continue
-        for h in range(current.n_hospitals):
-            candidate = induced_subinstance(
-                current, range(current.n_agents), [g for g in range(current.n_hospitals) if g != h]
-            )
-            if _fails(candidate, still_fails):
-                current, changed = candidate, True
-                break
-        if changed:
-            continue
-        for edge in current.edges():
-            candidate = _without_edge(current, edge)
-            if _fails(candidate, still_fails):
-                current, changed = candidate, True
-                break
-    return current
+    while True:
+        smaller = next((c for c in _one_smaller(inst) if _fails(c, still_fails)), None)
+        if smaller is None:
+            return inst
+        inst = smaller
 
 
 def _fails(candidate: HrsInstance, still_fails) -> bool:
@@ -327,12 +307,8 @@ class RatioReport:
 def _ratio_trial(args: tuple) -> RatioRow:
     template_dict, trial, max_nodes = args
     template = GenParams(**template_dict)
-    trial_seed = template.seed ^ trial
-    rng = random.Random(trial_seed)
-    n_a = rng.randint(1, max(1, template.n_agents))
-    n_h = rng.randint(1, max(1, template.n_hospitals))
-    inst = gen_random(replace(template, n_agents=n_a, n_hospitals=n_h, seed=trial_seed))
-    return _measure_ratio(inst, trial_seed, SearchBudget(max_nodes=max_nodes))
+    inst = _trial_instance(template, trial, gen_random)
+    return _measure_ratio(inst, template.seed ^ trial, SearchBudget(max_nodes=max_nodes))
 
 
 def _measure_ratio(inst: HrsInstance, seed: int, budget: SearchBudget) -> RatioRow:
@@ -356,6 +332,8 @@ def run_ratio_experiment(
     The template's counts act as upper bounds; each trial draws its own shape
     from its derived seed. The first row is the pinned known-gap example
     (seed -1, ratio 7/3)."""
+    if trials < 0:
+        raise ValueError(f"negative trial count {trials}")
     budget = budget or SearchBudget()
     rows = [_measure_ratio(approx_gap_example(), -1, budget)]
     work = [(params.__dict__, t, budget.max_nodes) for t in range(trials)]
@@ -427,6 +405,8 @@ def run_property_suite(
 ) -> SuiteReport:
     """Run one named invariant family over seeded random trials; violations
     come back with a shrunken instance attached."""
+    if trials < 0:
+        raise ValueError(f"negative trial count {trials}")
     budget = budget or SearchBudget()
     report = SuiteReport(suite, trials)
     if suite == "occ-stable-always":

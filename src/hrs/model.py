@@ -6,6 +6,13 @@ hospitals; each hospital has a positive integral capacity and a strict
 preference list over acceptable agents. Acceptability is mutual: ``h`` appears
 in ``a``'s list exactly when ``a`` appears in ``h``'s list.
 
+Instances are valid by construction. Every builder (``HrsInstance.build``,
+``parse_instance``, the generators, ``induced_subinstance``) goes through the
+one index-level constructor, which raises InstanceError on a one-sided edge, a
+non-strict list, a size or capacity that is not a positive integer, a label
+the text format cannot carry (empty, holding whitespace or '#', or ':'), and
+a duplicate or unknown label.
+
 A matching assigns each agent to at most one listed hospital; a hospital may
 hold any set of agents whose summed sizes fit its capacity. Being unmatched is
 represented explicitly (``UNMATCHED``) and ranks below every listed hospital.
@@ -14,6 +21,8 @@ represented explicitly (``UNMATCHED``) and ranks below every listed hospital.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import neg
 from typing import Iterable, Iterator, Sequence
 
 UNMATCHED = -1
@@ -34,7 +43,7 @@ class FormatError(HrsError):
 
 
 class InstanceError(HrsError):
-    """Instance data that cannot be represented (unknown or duplicate ids)."""
+    """Instance data that violates the model (see the module docstring)."""
 
 
 @dataclass(frozen=True)
@@ -64,13 +73,73 @@ class ValidationReport:
         return "; ".join(str(i) for i in self.issues) or "ok"
 
 
-def _check_positive_int(value, what: str, location: str, report: ValidationReport):
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        report.add("error", location, f"non-positive {what}: {value!r}")
+def _all_labels(labels: tuple) -> bool:
+    """Each a non-empty string without whitespace or '#', other than ':', so
+    the text format carries it; joined and split, such labels come back."""
+    try:
+        joined = " ".join(labels)
+    except TypeError:
+        return False
+    tokens = joined.split()
+    return tokens == list(labels) and "#" not in joined and ":" not in tokens
+
+
+def _all_positive_ints(values: tuple) -> bool:
+    return all(type(v) is int and v >= 1 for v in values)
+
+
+Row = tuple[str, int, Sequence[str]]
+
+
+def check_instance_data(agents: Iterable[Row], hospitals: Iterable[Row]) -> ValidationReport:
+    """Every violated invariant of labelled rows, (label, size, pref labels)
+    per agent and (label, capacity, pref labels) per hospital, in this order:
+    duplicate ids, unknown labels, bad labels, a size or capacity that is not
+    a positive integer and a non-strict list, one-sided edges. ``build``
+    raises InstanceError naming the first issue exactly when there is one."""
+    sides = [("agent", list(agents), "size"), ("hospital", list(hospitals), "capacity")]
+    report = ValidationReport()
+    index: list[dict[str, int]] = [{}, {}]
+    for (kind, rows, _), first in zip(sides, index):
+        for i, (label, _, _) in enumerate(rows):
+            if isinstance(label, str) and first.setdefault(label, i) != i:
+                report.add("error", f"{kind} #{i}", f"duplicate {kind} id {label!r}")
+    lists: list[list[list[int]]] = [[], []]
+    for (kind, rows, _), (other, _, _), known, resolved in zip(sides, sides[::-1], index[::-1], lists):
+        for label, _, plist in rows:
+            resolved.append([known[x] for x in plist if isinstance(x, str) and x in known])
+            for x in plist:
+                if not (isinstance(x, str) and x in known):
+                    report.add("error", f"{kind} {label}", f"lists unknown {other} {x!r}")
+    for kind, rows, _ in sides:
+        for i, (label, _, _) in enumerate(rows):
+            if not _all_labels((label,)):
+                report.add("error", f"{kind} #{i}", f"bad label {label!r}")
+    for (kind, rows, what), own in zip(sides, lists):
+        for (label, value, _), prefs in zip(rows, own):
+            if not _all_positive_ints((value,)):
+                report.add("error", f"{kind} {label}", f"non-positive {what}: {value!r}")
+            if len(set(prefs)) != len(prefs):
+                report.add("error", f"{kind} {label}", "preference list not strict (duplicate entry)")
+    for (kind, rows, _), (_, other_rows, _), own, back in zip(sides, sides[::-1], lists, lists[::-1]):
+        listed = [set(prefs) for prefs in back]
+        for i, (label, _, _) in enumerate(rows):
+            for j in own[i]:
+                if i not in listed[j]:
+                    report.add(
+                        "error", f"{kind} {label}",
+                        f"lists {other_rows[j][0]} which does not list it back",
+                    )
+    return report
+
+
+def _issue_text(issue: Issue) -> str:
+    return f"{issue.location}: {issue.message}"
 
 
 class HrsInstance:
-    """Immutable instance; agents and hospitals are dense indices internally.
+    """Immutable, valid instance; agents and hospitals are dense indices
+    internally.
 
     Labels are kept for I/O. Per-vertex rank tables (partner index -> position
     in the preference list) are precomputed so preference comparisons are O(1).
@@ -91,42 +160,70 @@ class HrsInstance:
         caps: Sequence[int],
         hospital_prefs: Sequence[Sequence[int]],
     ):
-        self.agent_labels = tuple(agent_labels)
-        self.sizes = tuple(sizes)
-        self.agent_prefs = tuple(tuple(p) for p in agent_prefs)
-        self.hospital_labels = tuple(hospital_labels)
-        self.caps = tuple(caps)
-        self.hospital_prefs = tuple(tuple(p) for p in hospital_prefs)
-        if not (len(self.agent_labels) == len(self.sizes) == len(self.agent_prefs)):
-            raise InstanceError("agent field lengths disagree")
-        if not (len(self.hospital_labels) == len(self.caps) == len(self.hospital_prefs)):
-            raise InstanceError("hospital field lengths disagree")
-        n_a, n_h = len(self.agent_labels), len(self.hospital_labels)
-        for prefs in self.agent_prefs:
-            for h in prefs:
-                if not 0 <= h < n_h:
-                    raise InstanceError(f"hospital index {h} out of range")
-        for prefs in self.hospital_prefs:
-            for a in prefs:
-                if not 0 <= a < n_a:
-                    raise InstanceError(f"agent index {a} out of range")
-        self.agent_index = {lbl: i for i, lbl in enumerate(self.agent_labels)}
-        self.hospital_index = {lbl: i for i, lbl in enumerate(self.hospital_labels)}
-        if len(self.agent_index) != n_a:
-            raise InstanceError("duplicate agent label")
-        if len(self.hospital_index) != n_h:
-            raise InstanceError("duplicate hospital label")
-        # last occurrence wins on duplicates; validate() reports those anyway
-        self.agent_rank = tuple({h: r for r, h in enumerate(p)} for p in self.agent_prefs)
-        self.hospital_rank = tuple({a: r for r, a in enumerate(p)} for p in self.hospital_prefs)
-        # negated hospital-side rank of each edge, parallel to agent_prefs:
-        # hot loops read ranks sequentially instead of hashing, and min-heaps
-        # can use the values directly (less negative = better). +1 marks an
-        # edge the hospital does not reciprocate (validate() reports those);
-        # the solver and the verifiers treat such an edge as unacceptable
-        self.agent_pref_hranks_neg = tuple(
-            tuple(-self.hospital_rank[h].get(a, -1) for h in prefs)
-            for a, prefs in enumerate(self.agent_prefs)
+        """The one constructor, on dense indices: one pass builds the label
+        indexes and rank tables and checks every model invariant, raising
+        InstanceError with ``check_instance_data``'s first issue."""
+        self.agent_labels = agent_labels = tuple(agent_labels)
+        self.sizes = sizes = tuple(sizes)
+        self.agent_prefs = agent_prefs = tuple(map(tuple, agent_prefs))
+        self.hospital_labels = hospital_labels = tuple(hospital_labels)
+        self.caps = caps = tuple(caps)
+        self.hospital_prefs = hospital_prefs = tuple(map(tuple, hospital_prefs))
+        n_a, n_h = len(agent_labels), len(hospital_labels)
+        try:
+            self.agent_index = {label: a for a, label in enumerate(agent_labels)}
+            self.hospital_index = {label: h for h, label in enumerate(hospital_labels)}
+            self.agent_rank = agent_rank = tuple(
+                [{h: r for r, h in enumerate(p)} for p in agent_prefs]
+            )
+            # hospital lists can be long: one int object per position, shared
+            # by every hospital's table
+            positions = tuple(range(max(map(len, hospital_prefs), default=0)))
+            self.hospital_rank = hospital_rank = tuple(
+                [dict(zip(p, positions)) for p in hospital_prefs]
+            )
+            # negated hospital-side rank of each edge, parallel to agent_prefs,
+            # for hot loops and min-heaps (less negative = better). The lookup
+            # fails on an edge the hospital does not list, and on an index out
+            # of range
+            negated = tuple(map(neg, positions))
+            rank_of = dict(enumerate(hospital_rank))
+            self.agent_pref_hranks_neg = tuple(
+                [tuple([negated[rank_of[h][a]] for h in p]) for a, p in enumerate(agent_prefs)]
+            )
+            # a rank table shorter than its list means a repeated entry. With
+            # agent lists strict and their edges listed back, hospital lists as
+            # long in total must be strict and list nothing else
+            n_edges = sum(map(len, agent_prefs))
+            valid = (
+                len(sizes) == len(agent_prefs) == n_a == len(self.agent_index)
+                and len(caps) == len(hospital_prefs) == n_h == len(self.hospital_index)
+                and sum(map(len, agent_rank)) == n_edges == sum(map(len, hospital_prefs))
+                and _all_labels(agent_labels + hospital_labels)
+                and _all_positive_ints(sizes + caps)
+                # the lookups above take a float as the equal int index
+                and all(map(int.__instancecheck__, chain.from_iterable(agent_prefs + hospital_prefs)))
+            )
+        except (KeyError, TypeError):
+            valid = False
+        if not valid:
+            raise InstanceError(self._first_violation())
+
+    def _first_violation(self) -> str:
+        if not len(self.agent_labels) == len(self.sizes) == len(self.agent_prefs):
+            return "agent field lengths disagree"
+        if not len(self.hospital_labels) == len(self.caps) == len(self.hospital_prefs):
+            return "hospital field lengths disagree"
+        return _issue_text(check_instance_data(*self._rows()).issues[0])
+
+    def _rows(self) -> tuple[list[Row], list[Row]]:
+        """Labelled rows; an entry that is no index in range stays as it is."""
+        def named(p, labels):
+            return [labels[x] if isinstance(x, int) and 0 <= x < len(labels) else x for x in p]
+        al, hl = self.agent_labels, self.hospital_labels
+        return (
+            [(al[a], self.sizes[a], named(p, hl)) for a, p in enumerate(self.agent_prefs)],
+            [(hl[h], self.caps[h], named(p, al)) for h, p in enumerate(self.hospital_prefs)],
         )
 
     @property
@@ -147,78 +244,23 @@ class HrsInstance:
                 yield (a, h)
 
     @classmethod
-    def build(
-        cls,
-        agents: Iterable[tuple[str, int, Sequence[str]]],
-        hospitals: Iterable[tuple[str, int, Sequence[str]]],
-    ) -> "HrsInstance":
+    def build(cls, agents: Iterable[Row], hospitals: Iterable[Row]) -> "HrsInstance":
         """Construct from labelled data: (label, size, pref labels) per agent,
         (label, capacity, pref labels) per hospital.
 
-        Raises InstanceError for duplicate or unknown labels; all other
-        invariants are left to validate().
+        Raises InstanceError naming the first issue ``check_instance_data``
+        reports.
         """
-        agents = list(agents)
-        hospitals = list(hospitals)
-        a_index: dict[str, int] = {}
-        for lbl, _, _ in agents:
-            if lbl in a_index:
-                raise InstanceError(f"duplicate agent id {lbl!r}")
-            a_index[lbl] = len(a_index)
-        h_index: dict[str, int] = {}
-        for lbl, _, _ in hospitals:
-            if lbl in h_index:
-                raise InstanceError(f"duplicate hospital id {lbl!r}")
-            h_index[lbl] = len(h_index)
-
-        def resolve(labels, index, what, owner):
-            out = []
-            for x in labels:
-                if x not in index:
-                    raise InstanceError(f"{owner} lists unknown {what} {x!r}")
-                out.append(index[x])
-            return out
-
-        agent_prefs = [resolve(p, h_index, "hospital", f"agent {lbl}") for lbl, _, p in agents]
-        hospital_prefs = [resolve(p, a_index, "agent", f"hospital {lbl}") for lbl, _, p in hospitals]
-        return cls(
-            [a[0] for a in agents], [a[1] for a in agents], agent_prefs,
-            [h[0] for h in hospitals], [h[1] for h in hospitals], hospital_prefs,
-        )
+        agents, hospitals = list(agents), list(hospitals)
+        try:
+            return _from_rows(agents, hospitals, iter)
+        except (KeyError, TypeError, InstanceError):
+            pass
+        raise InstanceError(_issue_text(check_instance_data(agents, hospitals).issues[0]))
 
     def validate(self) -> ValidationReport:
-        """Report every violated model invariant (strictness, mutuality,
-        positive sizes and capacities, well-formed labels)."""
-        report = ValidationReport()
-        for i, lbl in enumerate(self.agent_labels):
-            if not lbl or any(c.isspace() for c in lbl):
-                report.add("error", f"agent #{i}", f"bad label {lbl!r}")
-        for i, lbl in enumerate(self.hospital_labels):
-            if not lbl or any(c.isspace() for c in lbl):
-                report.add("error", f"hospital #{i}", f"bad label {lbl!r}")
-        for a, lbl in enumerate(self.agent_labels):
-            _check_positive_int(self.sizes[a], "size", f"agent {lbl}", report)
-            if len(set(self.agent_prefs[a])) != len(self.agent_prefs[a]):
-                report.add("error", f"agent {lbl}", "preference list not strict (duplicate entry)")
-        for h, lbl in enumerate(self.hospital_labels):
-            _check_positive_int(self.caps[h], "capacity", f"hospital {lbl}", report)
-            if len(set(self.hospital_prefs[h])) != len(self.hospital_prefs[h]):
-                report.add("error", f"hospital {lbl}", "preference list not strict (duplicate entry)")
-        for a in range(self.n_agents):
-            for h in self.agent_prefs[a]:
-                if a not in self.hospital_rank[h]:
-                    report.add(
-                        "error", f"agent {self.agent_labels[a]}",
-                        f"lists {self.hospital_labels[h]} which does not list it back",
-                    )
-        for h in range(self.n_hospitals):
-            for a in self.hospital_prefs[h]:
-                if h not in self.agent_rank[a]:
-                    report.add(
-                        "error", f"hospital {self.hospital_labels[h]}",
-                        f"lists {self.agent_labels[a]} which does not list it back",
-                    )
-        return report
+        """Every violated model invariant: none, as construction checks them."""
+        return check_instance_data(*self._rows())
 
     def _key(self):
         return (
@@ -234,6 +276,19 @@ class HrsInstance:
 
     def __repr__(self) -> str:
         return f"HrsInstance({self.n_agents} agents, {self.n_hospitals} hospitals, {self.n_edges} edges)"
+
+
+def _from_rows(agents: list[Row], hospitals: list, labels_of) -> HrsInstance:
+    """The index constructor on labelled rows; ``labels_of`` turns a row's
+    third field into labels, resolved in one ``map`` over the label index."""
+    a_labels, sizes, a_lists = zip(*agents) if agents else ((), (), ())
+    h_labels, caps, h_lists = zip(*hospitals) if hospitals else ((), (), ())
+    a_index = {label: a for a, label in enumerate(a_labels)}
+    h_index = {label: h for h, label in enumerate(h_labels)}
+    return HrsInstance(
+        a_labels, sizes, [tuple(map(h_index.__getitem__, labels_of(x))) for x in a_lists],
+        h_labels, caps, [tuple(map(a_index.__getitem__, labels_of(x))) for x in h_lists],
+    )
 
 
 class Matching:
@@ -317,11 +372,6 @@ def is_feasible(inst: HrsInstance, matching: Matching) -> tuple[bool, str | None
                 f"agent {inst.agent_labels[a]} assigned to "
                 f"{inst.hospital_labels[h]} which is not on its list"
             )
-        if a not in inst.hospital_rank[h]:
-            return False, (
-                f"agent {inst.agent_labels[a]} assigned to "
-                f"{inst.hospital_labels[h]} which does not list it"
-            )
         occ[h] += inst.sizes[a]
     for h, o in enumerate(occ):
         if o > inst.caps[h]:
@@ -344,46 +394,49 @@ def is_feasible(inst: HrsInstance, matching: Matching) -> tuple[bool, str | None
 _HEADER = "hrs v1"
 
 
-def _tokenize(text: str) -> list[tuple[int, list[str]]]:
-    out = []
+def _lines(text: str, maxsplit: int) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, tokens) of every line that holds any; past
+    ``maxsplit`` tokens the rest of the line stays one string."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line.split()))
-    return out
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        tokens = raw.split(None, maxsplit)
+        if tokens:
+            yield lineno, tokens
 
 
-def _parse_vertex_line(lineno: int, tokens: list[str], kind: str):
+def _vertex_row(lineno: int, tokens: list[str], kind: str) -> tuple[str, int, str]:
+    """(label, number, preference list still unsplit) of one vertex line: a
+    parse then never holds every list's tokens at once."""
     if len(tokens) < 3:
         raise FormatError(f"expected '{kind} <label> <number> : <list>'", lineno)
-    label = tokens[1]
     try:
         value = int(tokens[2])
     except ValueError:
         raise FormatError(f"bad number {tokens[2]!r}", lineno) from None
     if len(tokens) < 4 or tokens[3] != ":":
         raise FormatError("expected ':' before the preference list", lineno)
-    plist = tokens[4:]
-    if ":" in plist:
+    plist = tokens[4] if len(tokens) == 5 else ""
+    if ":" in plist and ":" in plist.split():
         raise FormatError("unexpected ':' inside preference list", lineno)
-    return label, value, plist, lineno
+    return tokens[1], value, plist
 
 
 def parse_instance(text: str) -> HrsInstance:
-    """Parse the text format above into a validated instance.
+    """Parse the text format above into an instance.
 
     Raises FormatError with a line number for syntax problems, duplicate ids,
     dangling references and any violated model invariant.
     """
-    lines = _tokenize(text)
-    if not lines or lines[0][1] != _HEADER.split():
-        raise FormatError(f"missing {_HEADER!r} header", lines[0][0] if lines else 1)
-    agents: list[tuple[str, int, list[str]]] = []
-    hospitals: list[tuple[str, int, list[str]]] = []
-    locations: dict[tuple[str, str], int] = {}
+    lines = _lines(text, 4)
+    lineno, tokens = next(lines, (1, None))
+    if tokens != _HEADER.split():
+        raise FormatError(f"missing {_HEADER!r} header", lineno)
+    agents: list[tuple[str, int, str]] = []
+    hospitals: list[tuple[str, int, str]] = []
     section = None
     seen_sections = set()
-    for lineno, tokens in lines[1:]:
+    for lineno, tokens in lines:
         if tokens == ["agents:"] or tokens == ["hospitals:"]:
             name = tokens[0][:-1]
             if name in seen_sections:
@@ -391,33 +444,30 @@ def parse_instance(text: str) -> HrsInstance:
             seen_sections.add(name)
             section = name
             continue
-        if section == "agents":
-            if tokens[0] != "a":
-                raise FormatError("expected an 'a' line in the agents section", lineno)
-            label, size, plist, ln = _parse_vertex_line(lineno, tokens, "a")
-            agents.append((label, size, plist))
-            locations[("a", label)] = ln
-        elif section == "hospitals":
-            if tokens[0] != "h":
-                raise FormatError("expected an 'h' line in the hospitals section", lineno)
-            label, cap, plist, ln = _parse_vertex_line(lineno, tokens, "h")
-            hospitals.append((label, cap, plist))
-            locations[("h", label)] = ln
-        else:
+        if section is None:
             raise FormatError("content before the 'agents:' section", lineno)
+        kind = section[0]
+        if tokens[0] != kind:
+            raise FormatError(f"expected an '{kind}' line in the {section} section", lineno)
+        (agents if kind == "a" else hospitals).append(_vertex_row(lineno, tokens, kind))
     if "agents" not in seen_sections or "hospitals" not in seen_sections:
         raise FormatError("missing 'agents:' or 'hospitals:' section")
     try:
-        inst = HrsInstance.build(agents, hospitals)
-    except InstanceError as exc:
-        raise FormatError(str(exc)) from exc
-    report = inst.validate()
-    if not report.ok:
-        first = report.issues[0]
-        kind = "a" if first.location.startswith("agent") else "h"
-        lineno = locations.get((kind, first.location.split(" ", 1)[1]))
-        raise FormatError(f"{first.location}: {first.message}", lineno)
-    return inst
+        return _from_rows(agents, hospitals, str.split)
+    except (KeyError, InstanceError):
+        pass
+    # the error path: report the first issue at the line of the vertex it names
+    first = check_instance_data(
+        [(label, value, plist.split()) for label, value, plist in agents],
+        [(label, value, plist.split()) for label, value, plist in hospitals],
+    ).issues[0]
+    kind, _, key = first.location.partition(" ")
+    rows = [(lineno, tokens[1]) for lineno, tokens in _lines(text, 2) if tokens[0] == kind[0]]
+    if key.startswith("#"):
+        lineno = rows[int(key[1:])][0]
+    else:
+        lineno = next(ln for ln, label in rows if label == key)
+    raise FormatError(_issue_text(first), lineno)
 
 
 def serialize_instance(inst: HrsInstance) -> str:
@@ -473,21 +523,13 @@ def induced_subinstance(
     filtered to surviving partners. Labels are preserved."""
     keep_a = sorted(set(agents))
     keep_h = sorted(set(hospitals))
-    a_set, h_set = set(keep_a), set(keep_h)
-    agents_data = [
-        (
-            inst.agent_labels[a],
-            inst.sizes[a],
-            [inst.hospital_labels[h] for h in inst.agent_prefs[a] if h in h_set],
-        )
-        for a in keep_a
-    ]
-    hospitals_data = [
-        (
-            inst.hospital_labels[h],
-            inst.caps[h],
-            [inst.agent_labels[a] for a in inst.hospital_prefs[h] if a in a_set],
-        )
-        for h in keep_h
-    ]
-    return HrsInstance.build(agents_data, hospitals_data)
+    new_a = dict(zip(keep_a, range(len(keep_a))))
+    new_h = dict(zip(keep_h, range(len(keep_h))))
+    return HrsInstance(
+        [inst.agent_labels[a] for a in keep_a],
+        [inst.sizes[a] for a in keep_a],
+        [[new_h[h] for h in inst.agent_prefs[a] if h in new_h] for a in keep_a],
+        [inst.hospital_labels[h] for h in keep_h],
+        [inst.caps[h] for h in keep_h],
+        [[new_a[a] for a in inst.hospital_prefs[h] if a in new_a] for h in keep_h],
+    )

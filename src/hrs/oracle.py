@@ -54,6 +54,10 @@ class SearchBudget:
     max_solutions: int | None = None
     deadline: float | None = None
 
+    def __post_init__(self):
+        if self.max_nodes < 0 or (self.max_solutions is not None and self.max_solutions < 0):
+            raise ValueError("search budget bounds must be non-negative")
+
 
 @dataclass
 class OracleResult:
@@ -102,15 +106,6 @@ class _Ticker:
         if self.t_end is not None and (self.nodes & 2047) == 0:
             if time.monotonic() > self.t_end:
                 raise BudgetExhausted(self.nodes)
-
-
-def _listed_prefs(inst: HrsInstance) -> list[list[int]]:
-    """Each agent's list without the hospitals that do not list it back: a
-    feasible matching uses only the remaining edges."""
-    return [
-        [h for h, neg_rank in zip(hs, neg_ranks) if neg_rank <= 0]
-        for hs, neg_ranks in zip(inst.agent_prefs, inst.agent_pref_hranks_neg)
-    ]
 
 
 def _search(
@@ -193,7 +188,7 @@ def enumerate_feasible(
     budget = budget or SearchBudget()
     ticker = _Ticker(budget)
     yielded = 0
-    for assign, _, _ in _search(inst.sizes, inst.caps, _listed_prefs(inst), ticker):
+    for assign, _, _ in _search(inst.sizes, inst.caps, inst.agent_prefs, ticker):
         yield Matching(assign)
         yielded += 1
         if budget.max_solutions is not None and yielded >= budget.max_solutions:
@@ -206,7 +201,7 @@ def _unblocked(
     """The feasible matchings with no blocking pair under ``mode``, in search
     order."""
     tester = verify.make_blocking_tester(inst, mode)
-    for assign, occ, _ in _search(inst.sizes, inst.caps, _listed_prefs(inst), ticker, perfect):
+    for assign, occ, _ in _search(inst.sizes, inst.caps, inst.agent_prefs, ticker, perfect):
         if not tester(assign, occ):
             yield Matching(assign)
 
@@ -266,7 +261,7 @@ def max_occupancy_stable(
     verdict = COMPLETE
     try:
         for assign, occ, value in _search(
-            inst.sizes, inst.caps, _listed_prefs(inst), ticker, floor=floor
+            inst.sizes, inst.caps, inst.agent_prefs, ticker, floor=floor
         ):
             # the cut let this leaf through, so value > floor[0]
             if not tester(assign, occ):
@@ -403,13 +398,9 @@ def auto_interfaces(inst: HrsInstance, max_block_agents: int = 12) -> list[int]:
     ends. Three-hospital cuts are only scored, and a split stops as soon as
     one of its parts is too large to beat the best cut so far. An agent whose
     hospitals are all cut is a block of one."""
-    hospitals_of = [set(hs) for hs in inst.agent_prefs]
-    for h, listed in enumerate(inst.hospital_prefs):
-        for a in listed:
-            hospitals_of[a].add(h)
     agent_bits = [0] * inst.n_hospitals
     neighbours = [0] * inst.n_hospitals
-    for a, hs in enumerate(hospitals_of):
+    for a, hs in enumerate(inst.agent_prefs):
         mask = sum(1 << h for h in hs)
         for h in hs:
             agent_bits[h] |= 1 << a
@@ -463,10 +454,9 @@ def auto_interfaces(inst: HrsInstance, max_block_agents: int = 12) -> list[int]:
 
 
 def _interface_states(inst: HrsInstance, h: int) -> list[tuple[int, ...]]:
-    """Every subset of the agents that h lists and that list h back whose
-    sizes fit its capacity, the empty set first; these are the possible
-    resident sets of h."""
-    neighbors = sorted(a for a in inst.hospital_prefs[h] if h in inst.agent_rank[a])
+    """Every subset of the agents that h lists whose sizes fit its capacity,
+    the empty set first; these are the possible resident sets of h."""
+    neighbors = sorted(inst.hospital_prefs[h])
     if len(neighbors) > 16:
         raise ValueError(
             f"interface hospital {inst.hospital_labels[h]} lists {len(neighbors)} "
@@ -485,7 +475,6 @@ def _interface_states(inst: HrsInstance, h: int) -> list[tuple[int, ...]]:
 
 def _block_solutions(
     inst: HrsInstance,
-    prefs: list[list[int]],
     block_agents: Sequence[int],
     block_hospitals: Sequence[int],
     iface_state: dict[int, tuple[int, ...]],
@@ -494,12 +483,11 @@ def _block_solutions(
     """All assignments of the block agents (as tuples aligned with
     block_agents; UNMATCHED allowed) that are feasible, consistent with the
     interface state, and free of blocking pairs involving block agents.
-    ``prefs`` are the agents' lists as ``_listed_prefs`` gives them.
 
     Interface pairs are checked the moment the agent is assigned; pairs at an
     internal hospital are checked once its last listed agent is assigned.
     """
-    sizes, caps = inst.sizes, inst.caps
+    sizes, caps, prefs = inst.sizes, inst.caps, inst.agent_prefs
     hospital_rank, agent_rank = inst.hospital_rank, inst.agent_rank
     agents = list(block_agents)
     internal = set(block_hospitals)
@@ -550,7 +538,7 @@ def _block_solutions(
         cap = caps[h]
         residents = members_at[h]
         for b in inst.hospital_prefs[h]:
-            if b not in pos or assign.get(b) == h or h not in agent_rank[b]:
+            if b not in pos or assign.get(b) == h:
                 continue
             cur = assign[b]
             # does b prefer h to its assignment?
@@ -628,7 +616,6 @@ def _stable_decomposed(
         touched = sorted({owner[a] for a in inst.hospital_prefs[h]})
         for bi in touched:
             relevant[bi].append(h)
-    prefs = _listed_prefs(inst)
     memo: dict[tuple, list[tuple[int, ...]]] = {}
     found: list[Matching] = []
 
@@ -639,9 +626,7 @@ def _stable_decomposed(
         key = block_key(bi, state)
         if key not in memo:
             sub_state = {h: state[h] for h in relevant[bi]}
-            memo[key] = _block_solutions(
-                inst, prefs, blocks[bi][0], blocks[bi][1], sub_state, ticker
-            )
+            memo[key] = _block_solutions(inst, blocks[bi][0], blocks[bi][1], sub_state, ticker)
         return memo[key]
 
     def emit(state: dict[int, tuple[int, ...]]) -> None:

@@ -69,27 +69,28 @@ def validate_ordered_partition(
     ``require_gen_ml``, also that every hospital's list is non-decreasing in
     class index."""
     report = ValidationReport()
-    seen: set[int] = set()
+    n_agents, sizes = inst.n_agents, inst.sizes
+    seen = bytearray(n_agents)
     for i, cls in enumerate(partition.classes):
         if not cls:
             report.add("error", f"class #{i}", "empty class")
             continue
         for a in cls:
-            if not 0 <= a < inst.n_agents:
+            if not 0 <= a < n_agents:
                 report.add("error", f"class #{i}", f"unknown agent index {a}")
-            elif a in seen:
+            elif seen[a]:
                 report.add("error", f"class #{i}", f"agent {inst.agent_labels[a]} in two classes")
             else:
-                seen.add(a)
-        sizes = {inst.sizes[a] for a in cls if 0 <= a < inst.n_agents}
-        if len(sizes) > 1:
-            report.add("error", f"class #{i}", f"mixed sizes {sorted(sizes)}")
-    missing = [a for a in range(inst.n_agents) if a not in seen]
-    if missing:
+                seen[a] = 1
+        known = cls if 0 <= min(cls) and max(cls) < n_agents else [a for a in cls if 0 <= a < n_agents]
+        if known and not all(map(sizes[known[0]].__eq__, map(sizes.__getitem__, known))):
+            report.add("error", f"class #{i}", f"mixed sizes {sorted({sizes[a] for a in known})}")
+    if 0 in seen:
+        missing = [a for a in range(n_agents) if not seen[a]]
         labels = ", ".join(inst.agent_labels[a] for a in missing)
         report.add("error", "partition", f"agents not covered: {labels}")
     if require_gen_ml and report.ok:
-        owner = partition.class_of(inst.n_agents)
+        owner = partition.class_of(n_agents)
         for h in range(inst.n_hospitals):
             prefs = inst.hospital_prefs[h]
             for x, y in zip(prefs, prefs[1:]):

@@ -80,8 +80,6 @@ def uniform_gs(
     if len(sizes) != 1:
         raise ValueError(f"class mixes sizes {sorted(sizes)}")
     s = sizes.pop()
-    if s < 1:
-        raise ValueError(f"class agents have non-positive size {s}")
     slots = [r // s for r in residual_caps]
     prefs = inst.agent_prefs
     edge_ranks = inst.agent_pref_hranks_neg
@@ -102,9 +100,9 @@ def uniform_gs(
             h = lst[i]
             cap = slots[h]
             i += 1
+            if cap == 0:
+                continue  # no whole slot
             neg_rank = ranks[i - 1]
-            if cap == 0 or neg_rank > 0:
-                continue  # no whole slot, or h does not list a
             heap = accepted[h]
             if fill[h] < cap:
                 heappush(heap, (neg_rank, a))

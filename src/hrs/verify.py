@@ -14,7 +14,7 @@ reachable subset sums as an integer bitset masked to the largest agent size.
 Building costs O(sum_h |M(h)| log |M(h)|). A candidate pair (a, h) then costs
 one bisect for a's rank, O(log |M(h)|), and one comparison (classic: total >=
 the size that must be freed) or one shift and mask (occupancy: a reachable sum
-between that size and s(a)). Pairs the hospital does not list never block.
+between that size and s(a)).
 
 Witnesses are rebuilt only for pairs that block: they take the smallest
 achievable eviction total and, among those, the lexicographically smallest
@@ -155,8 +155,6 @@ def _scan_pairs(
         for h, neg_rank in zip(agent_prefs[a], edge_ranks[a]):
             if h == cur:
                 break  # remaining hospitals are not preferred to the assignment
-            if neg_rank > 0:
-                continue  # h does not list a: the pair is not acceptable
             need = s_a - free[h]
             if need > 0:
                 table = tables[h]
@@ -260,11 +258,6 @@ def find_blocking_pairs_residual(
                 f"matched pair ({inst.agent_labels[a]}, {inst.hospital_labels[h]}) "
                 "outside the given subgraph"
             )
-        if a not in inst.hospital_rank[h]:
-            raise ValueError(
-                f"matched pair ({inst.agent_labels[a]}, {inst.hospital_labels[h]}) "
-                "not listed by the hospital"
-            )
     out: list[BlockingWitness] = []
     _scan_pairs(inst, assign, CLASSIC, residual_caps, agents, True, out)
     return out
@@ -312,8 +305,6 @@ def make_blocking_tester(
             for h, neg_rank in zip(agent_prefs[a], edge_ranks[a]):
                 if h == cur:
                     break
-                if neg_rank > 0:
-                    continue  # h does not list a: the pair is not acceptable
                 need = occ[h] + s_a - caps[h]
                 if need <= 0:
                     return True

@@ -53,9 +53,10 @@ def small_random_instances(count: int, seed: int = 0, max_agents: int = 5,
         yield gen_random(params)
 
 
-def all_feasible_assignments(inst: HrsInstance):
+def all_feasible_assignments(inst: HrsInstance, caps=None):
     """Every feasible matching via plain product-and-filter (independent of
-    the package's backtracking search)."""
+    the package's backtracking search); ``caps`` replaces the capacities."""
+    caps = inst.caps if caps is None else caps
     choice_sets = [list(inst.agent_prefs[a]) + [UNMATCHED] for a in range(inst.n_agents)]
     for combo in itertools.product(*choice_sets):
         occ = [0] * inst.n_hospitals
@@ -64,16 +65,18 @@ def all_feasible_assignments(inst: HrsInstance):
             if h != UNMATCHED:
                 occ[h] += inst.sizes[a]
         for h in range(inst.n_hospitals):
-            if occ[h] > inst.caps[h]:
+            if occ[h] > caps[h]:
                 ok = False
                 break
         if ok:
             yield Matching(combo)
 
 
-def naive_blocking_pairs(inst: HrsInstance, matching: Matching, kind: str):
+def naive_blocking_pairs(inst: HrsInstance, matching: Matching, kind: str, caps=None):
     """Blocking pairs by checking every eviction subset X of M(h) verbatim
-    against the definition; kind is 'classic' or 'occupancy'."""
+    against the definition; kind is 'classic' or 'occupancy'; ``caps``
+    replaces the capacities."""
+    caps = inst.caps if caps is None else caps
     assign = matching.assign
     occ = [0] * inst.n_hospitals
     matched_at = [[] for _ in range(inst.n_hospitals)]
@@ -95,7 +98,7 @@ def naive_blocking_pairs(inst: HrsInstance, matching: Matching, kind: str):
                     if any(inst.hospital_rank[h][b] <= inst.hospital_rank[h][a] for b in X):
                         continue  # X must be strictly lower-preferred than a
                     removed = sum(inst.sizes[b] for b in X)
-                    if occ[h] - removed + inst.sizes[a] > inst.caps[h]:
+                    if occ[h] - removed + inst.sizes[a] > caps[h]:
                         continue
                     if kind == "occupancy" and inst.sizes[a] < removed:
                         continue

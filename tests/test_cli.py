@@ -232,3 +232,21 @@ def test_bad_instance_exit_four(capsys, tmp_path):
 def test_stdout_idempotent(capsys, example_files):
     runs = [run(capsys, "oracle", example_files["gap"], "--query", "occ-stable") for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def test_non_utf8_instance_is_parse_error(capsys, tmp_path):
+    bad = tmp_path / "latin1.hrs"
+    bad.write_bytes("hrs v1\nagents:\na \xe91 1 :\nhospitals:\n".encode("latin-1"))
+    code, _, err = run(capsys, "solve", str(bad))
+    assert code == 4 and "can't decode" in err and "Traceback" not in err
+
+
+def test_oracle_negative_max_nodes_is_usage_error(capsys, example_files):
+    code, out, err = run(capsys, "oracle", example_files["gap"], "--query", "max-occ",
+                         "--max-nodes", "-1")
+    assert code == 2 and out == "" and "non-negative" in err
+
+
+def test_negative_trials_is_usage_error(capsys):
+    code, out, err = run(capsys, "test", "--suite", "occ-stable-always", "--trials", "-1")
+    assert code == 2 and out == "" and "negative trial count" in err

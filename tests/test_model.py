@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hrs.model import (
     UNMATCHED,
     FormatError,
+    check_instance_data,
     HrsInstance,
     InstanceError,
     Matching,
@@ -170,15 +171,39 @@ def test_build_rejects_bad_labels():
 
 
 def test_validate_reports_all():
-    inst = HrsInstance.build(
-        [("a1", 0, ["h1", "h1"])],
-        [("h1", 1, [])],
-    )
-    report = inst.validate()
+    agents, hospitals = [("a1", 0, ["h1", "h1"])], [("h1", 1, [])]
+    report = check_instance_data(agents, hospitals)
     messages = report.summary()
     assert "non-positive size" in messages
     assert "not strict" in messages
     assert "does not list it back" in messages
+    with pytest.raises(InstanceError, match="^agent a1: non-positive size: 0$"):
+        HrsInstance.build(agents, hospitals)
+
+
+def test_index_constructor_rejects_bad_indices():
+    with pytest.raises(InstanceError, match="agent a1: lists unknown hospital -1"):
+        HrsInstance(["a1"], [1], [[-1]], ["h1"], [1], [[0]])
+    with pytest.raises(InstanceError, match="hospital h1: lists unknown agent 1"):
+        HrsInstance(["a1"], [1], [[0]], ["h1"], [1], [[0, 1]])
+    with pytest.raises(InstanceError, match="agent a1: lists unknown hospital 0.0"):
+        HrsInstance(["a1"], [1], [[0.0]], ["h1"], [1], [[0]])
+    with pytest.raises(InstanceError, match="agent field lengths disagree"):
+        HrsInstance(["a1"], [1, 1], [[]], [], [], [])
+    with pytest.raises(InstanceError, match="hospital h1: lists a1 which does not list it back"):
+        HrsInstance(["a1"], [1], [[]], ["h1"], [1], [[0]])
+
+
+@pytest.mark.parametrize("label", ["", "h 1", "h#1", ":"])
+def test_build_rejects_labels_the_text_format_cannot_carry(label):
+    with pytest.raises(InstanceError, match="hospital #0: bad label"):
+        HrsInstance.build([("a1", 1, [label])], [(label, 1, ["a1"])])
+
+
+def test_parse_reports_duplicate_id_at_its_line():
+    with pytest.raises(FormatError) as err:
+        parse_instance("hrs v1\nagents:\na a1 1 :\n\na a1 2 :\nhospitals:\n")
+    assert err.value.line == 5 and "duplicate agent id 'a1'" in str(err.value)
 
 
 def test_induced_subinstance(gap_inst):
@@ -191,3 +216,98 @@ def test_induced_subinstance(gap_inst):
     assert sub.hospital_labels == ("h1",)
     assert sub.validate().ok
     assert [sub.agent_labels[a] for a in sub.hospital_prefs[0]] == ["a2", "a3"]
+
+
+# --- fuzzing the construction paths --------------------------------------------
+
+_TOKENS = ["a", "h", ":", "#", "0", "1", "2", "-1", "x", "a1", "a2", "h1", "h2",
+           "agents:", "hospitals:", "hrs", "v1"]
+
+
+@st.composite
+def mutated_texts(draw):
+    """The text of a small random instance with tokens and lines added,
+    replaced or dropped."""
+    inst = gen_random(GenParams(
+        n_agents=draw(st.integers(0, 4)), n_hospitals=draw(st.integers(0, 3)),
+        density=draw(st.sampled_from([0.5, 1.0])), seed=draw(st.integers(0, 2**16)),
+    ))
+    lines = [line.split(" ") for line in serialize_instance(inst).splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["add", "replace", "drop", "add line", "drop line"]))
+        i = draw(st.integers(0, len(lines)))
+        if op == "add line":
+            lines.insert(i, draw(st.lists(st.sampled_from(_TOKENS), max_size=5)))
+            continue
+        if i == len(lines):
+            continue
+        if op == "drop line":
+            del lines[i]
+            continue
+        line = lines[i]
+        j = draw(st.integers(0, len(line)))
+        if op == "add":
+            line.insert(j, draw(st.sampled_from(_TOKENS)))
+        elif j < len(line):
+            if op == "replace":
+                line[j] = draw(st.sampled_from(_TOKENS))
+            else:
+                del line[j]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@given(mutated_texts())
+@settings(max_examples=300, deadline=None)
+def test_parse_mutated_text_round_trips_or_raises_format_error(text):
+    try:
+        inst = parse_instance(text)
+    except FormatError:
+        return
+    assert parse_instance(serialize_instance(inst)) == inst
+
+
+_BAD_LABELS = ["", "a 1", "a#1", ":", "a1", "h1", "zz"]
+_VALUES = [0, -1, 1, 2, True, 1.5, "1"]
+
+
+@st.composite
+def labelled_data(draw):
+    """Labelled rows of a small random instance, sometimes made malformed: a
+    bad size or capacity, a relabelled vertex, an entry dropped or added."""
+    inst = gen_random(GenParams(
+        n_agents=draw(st.integers(0, 4)), n_hospitals=draw(st.integers(0, 3)),
+        density=draw(st.sampled_from([0.5, 1.0])), seed=draw(st.integers(0, 2**16)),
+    ))
+    agents, hospitals = inst._rows()
+    for _ in range(draw(st.integers(0, 2))):
+        rows = draw(st.sampled_from([agents, hospitals]))
+        if not rows:
+            continue
+        i = draw(st.integers(0, len(rows) - 1))
+        label, value, plist = rows[i]
+        op = draw(st.sampled_from(["value", "label", "drop", "add"]))
+        if op == "value":
+            value = draw(st.sampled_from(_VALUES))
+        elif op == "label":
+            label = draw(st.sampled_from(_BAD_LABELS))
+        elif op == "drop" and plist:
+            plist = plist[:-1]
+        elif op == "add":
+            plist = plist + [draw(st.sampled_from(_BAD_LABELS + ["a2", "h2"]))]
+        rows[i] = (label, value, plist)
+    return agents, hospitals
+
+
+@given(labelled_data())
+@settings(max_examples=300, deadline=None)
+def test_build_raises_exactly_when_the_data_check_reports(data):
+    agents, hospitals = data
+    report = check_instance_data(agents, hospitals)
+    try:
+        inst = HrsInstance.build(agents, hospitals)
+    except InstanceError as exc:
+        first = report.issues[0]
+        assert str(exc) == f"{first.location}: {first.message}"
+    else:
+        assert report.ok
+        assert inst._rows() == (agents, hospitals)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hrs.model import UNMATCHED, HrsInstance, Matching, is_feasible, matching_size
+from hrs.model import UNMATCHED, HrsInstance, InstanceError, Matching, is_feasible, matching_size
 from hrs.oracle import (
     COMPLETE,
     EXHAUSTED,
@@ -206,7 +206,11 @@ def test_max_occ_budget_keeps_incumbent():
 
 @pytest.fixture
 def one_sided_inst():
-    return HrsInstance.build([("a1", 1, ["h1"]), ("a2", 1, ["h1"])], [("h1", 1, ["a1"])])
+    """Construction rejects the one-sided edge; the oracle then sees the
+    instance without it."""
+    with pytest.raises(InstanceError, match="agent a2: lists h1 which does not list it back"):
+        HrsInstance.build([("a1", 1, ["h1"]), ("a2", 1, ["h1"])], [("h1", 1, ["a1"])])
+    return HrsInstance.build([("a1", 1, ["h1"]), ("a2", 1, [])], [("h1", 1, ["a1"])])
 
 
 def test_stable_matchings_skip_unlisted_edge(one_sided_inst):
@@ -243,9 +247,14 @@ def test_oracle_agrees_with_verifiers_on_unlisted_edge(one_sided_inst):
 
 
 def test_decompose_skips_unlisted_edge():
-    # h1 lists nobody, so a1 -> h1 is not a feasible pair
+    # h1 lists nobody, so a1 -> h1 cannot be built; without it both searches agree
+    with pytest.raises(InstanceError, match="agent a1: lists h1 which does not list it back"):
+        HrsInstance.build(
+            [("a1", 1, ["h1", "h2"]), ("a2", 1, ["h2"])],
+            [("h1", 1, []), ("h2", 1, ["a2", "a1"])],
+        )
     inst = HrsInstance.build(
-        [("a1", 1, ["h1", "h2"]), ("a2", 1, ["h2"])],
+        [("a1", 1, ["h2"]), ("a2", 1, ["h2"])],
         [("h1", 1, []), ("h2", 1, ["a2", "a1"])],
     )
     res = stable_matchings(inst, strategy="decompose")
@@ -254,10 +263,16 @@ def test_decompose_skips_unlisted_edge():
 
 
 def test_decompose_interface_skips_unlisted_edge():
-    # interface h1 lists a2, which does not list h1, and does not list a1
+    # interface h1 lists a2, which does not list h1, and a1 lists h1 unlisted:
+    # construction rejects both; without them both searches agree
+    with pytest.raises(InstanceError, match="agent a1: lists h1 which does not list it back"):
+        HrsInstance.build(
+            [("a1", 1, ["h2", "h1"]), ("a2", 1, ["h2"])],
+            [("h1", 1, ["a2"]), ("h2", 1, ["a2", "a1"])],
+        )
     inst = HrsInstance.build(
-        [("a1", 1, ["h2", "h1"]), ("a2", 1, ["h2"])],
-        [("h1", 1, ["a2"]), ("h2", 1, ["a2", "a1"])],
+        [("a1", 1, ["h2"]), ("a2", 1, ["h2"])],
+        [("h1", 1, []), ("h2", 1, ["a2", "a1"])],
     )
     res = stable_matchings(inst, strategy="decompose", interfaces=[0])
     assert res.complete and res.matchings == stable_matchings(inst).matchings

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hrs.model import HrsInstance, Matching, is_feasible, matching_size
+from hrs.model import HrsInstance, InstanceError, Matching, is_feasible, matching_size
 from hrs.partition import (
     OrderedPartition,
     detect_generalized_master_list,
@@ -212,27 +212,26 @@ def test_check_trace_catches_round_over_residual(no_stable_inst):
 
 
 def test_unreciprocated_edge_is_not_acceptable():
-    # a2 lists h1, but h1 does not list a2 back
-    one_sided = HrsInstance.build(
-        [("a1", 1, ["h1"]), ("a2", 1, ["h1"])], [("h1", 1, ["a1"])]
-    )
+    # a2 lists h1, but h1 does not list a2 back: no instance holds that edge
+    with pytest.raises(InstanceError, match="agent a2: lists h1 which does not list it back"):
+        HrsInstance.build([("a1", 1, ["h1"]), ("a2", 1, ["h1"])], [("h1", 1, ["a1"])])
+    with pytest.raises(InstanceError, match="agent a2: lists h1 which does not list it back"):
+        HrsInstance(["a1", "a2"], [1, 1], [[0], [0]], ["h1"], [1], [[0]])
     mutual = HrsInstance.build(
         [("a1", 1, ["h1"]), ("a2", 1, [])], [("h1", 1, ["a1"])]
     )
-    got = solve(one_sided, size_descending_partition(one_sided)).final
     want = solve(mutual, size_descending_partition(mutual)).final
-    assert got == want == Matching.from_labeled_pairs(mutual, [("a1", "h1")])
-    for finder in (find_blocking_pairs, find_occupancy_blocking_pairs):
-        for m in (Matching.empty(mutual), want):
-            assert finder(one_sided, m) == finder(mutual, m)
-    ok, msg = is_feasible(one_sided, Matching.from_labeled_pairs(one_sided, [("a2", "h1")]))
-    assert not ok and "does not list it" in msg
+    assert want == Matching.from_labeled_pairs(mutual, [("a1", "h1")])
+    ok, msg = is_feasible(mutual, Matching.from_labeled_pairs(mutual, [("a2", "h1")]))
+    assert not ok and "not on its list" in msg
 
 
 def test_uniform_gs_rejects_size_zero():
-    inst = HrsInstance.build([("a1", 0, ["h1"])], [("h1", 1, ["a1"])])
-    with pytest.raises(ValueError, match="size 0"):
-        uniform_gs(inst, [0], [1])
+    # a size-0 agent cannot be built, so uniform_gs never divides by one
+    with pytest.raises(InstanceError, match="agent a1: non-positive size: 0"):
+        HrsInstance.build([("a1", 0, ["h1"])], [("h1", 1, ["a1"])])
+    with pytest.raises(InstanceError, match="agent a1: non-positive size: 0"):
+        HrsInstance(["a1"], [0], [[0]], ["h1"], [1], [[0]])
 
 
 def test_solver_occupancy_stable_sweep():

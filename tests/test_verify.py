@@ -137,18 +137,14 @@ def test_residual_vs_naive_enumeration():
             agents = [a for a in range(inst.n_agents) if rng.random() < 0.7]
             subgraph = [(a, h) for a in agents for h in inst.agent_prefs[a]]
             caps = [rng.randint(0, c) for c in inst.caps]
-            restricted = HrsInstance(
-                inst.agent_labels, inst.sizes, inst.agent_prefs,
-                inst.hospital_labels, caps, inst.hospital_prefs,
-            )
             allowed = set(subgraph)
-            for matching in all_feasible_assignments(restricted):
+            for matching in all_feasible_assignments(inst, caps):
                 if any(h != UNMATCHED and (a, h) not in allowed
                        for a, h in enumerate(matching.assign)):
                     continue
                 checked += 1
                 got = find_blocking_pairs_residual(inst, matching, caps, agents)
-                want = [e for e in naive_blocking_pairs(restricted, matching, "classic")
+                want = [e for e in naive_blocking_pairs(inst, matching, "classic", caps)
                         if e in allowed]
                 assert [(w.agent, w.hospital) for w in got] == want
                 for w in got:
