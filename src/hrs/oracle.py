@@ -1,25 +1,25 @@
 """Exact brute-force ground truth on small instances.
 
-Every plain query is a loop over one explicit-stack search, ``_search``. It
-assigns agents in index order, each to a hospital on its list that lists it
-back and has enough residual capacity, or to nothing (tried last, and not at
-all for ``a-perfect``), and counts one node per descent. The enumeration
-queries prune on capacity only; ``max-occ`` also cuts a branch once its
+Every query is a loop over one explicit-stack search, ``_search``. It places
+agents one position at a time, each on a hospital of its list with enough
+residual capacity or nowhere (tried last, and not at all for ``a-perfect``),
+and counts one node per descent. Whether a pair (b, h) blocks depends only on
+b's hospital and h's residents, so it is final once b and every agent that may
+still be placed at h are placed: in the plain search, at h's last listing
+agent. At each position a close check tests the pairs that have just become
+final, through ``verify._hospital_blocks``, and cuts the branch when one
+blocks, so every leaf is unblocked. ``max-occ`` also cuts a branch once its
 matched size plus the sizes of all agents still to come cannot beat the best
-stable value found. Stability predicates are evaluated at the leaves because
-blocking-pair absence is not prefix-monotone. Every bound in the budget (node
-count, wall clock, solution cap) aborts the sweep with an explicit
-``budget_exhausted`` verdict rather than truncating silently.
+value found. Every bound in the budget (node count, wall clock, solution cap)
+aborts the sweep with an explicit ``budget_exhausted`` verdict.
 
 The ``decompose`` strategy for the stable-matching query splits the instance
-into blocks that touch each other only through a set of interface hospitals.
-It enumerates, per interface hospital, every feasible set of residents it
-could hold; given one combined interface state the blocks are independent, so
-each block is searched on its own (with blocking pairs against the fixed
-interface state checked as soon as they are decided) and the per-block
-solutions are multiplied out. Distinct interface states yield distinct
-matchings, so the union over states is exact. This makes the gadget-chain
-instances produced by the stable-target reduction tractable.
+into blocks that touch each other only through interface hospitals. It
+enumerates every feasible resident set of each interface hospital; given one
+combined state the blocks are independent, and each is one ``_search`` over
+the agents the state leaves free, with the state's residents fixed from the
+start. The per-block solutions are multiplied out; distinct states yield
+distinct matchings, so the union over states is exact.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .model import UNMATCHED, HrsError, HrsInstance, Matching, matching_size
+from .model import UNMATCHED, HrsError, HrsInstance, Matching
 from .reduce import SmtiInstance, SmtiMatching, is_weakly_stable
 from . import verify
 
@@ -38,6 +39,8 @@ EXHAUSTED = "budget_exhausted"
 
 PLAIN = "plain"
 DECOMPOSE = "decompose"
+
+_CloseTest = Callable[[list[int], list[int]], bool]  # (assign, occ) -> blocks?
 
 
 class BudgetExhausted(HrsError):
@@ -115,69 +118,119 @@ def _search(
     ticker: _Ticker,
     perfect: bool = False,
     floor: list[int] | None = None,
-) -> Iterator[tuple[list[int], list[int], int]]:
-    """Depth-first sweep over feasible assignments, in canonical order: agents
-    by index, each first to every hospital of ``prefs[a]`` with room, in list
-    order, then to nothing (skipped when ``perfect``). Yields the live
-    ``(assign, occ, matched size)`` at each leaf; the caller copies what it
-    keeps. Each descent ticks once.
+    close: Sequence[Sequence[_CloseTest]] | None = None,
+    order: Sequence[int] | None = None,
+    assign: list[int] | None = None,
+) -> Iterator[tuple[list[int], int]]:
+    """Depth-first sweep over feasible assignments, in canonical order: the
+    agents of ``order`` (default: all, by index), each first to every
+    hospital of ``prefs[a]`` with room, in list order, then to nothing
+    (skipped when ``perfect``). The others keep their hospital in the starting
+    ``assign`` (default: nobody matched). Yields the live ``(assign, size
+    placed)`` at each leaf; the caller copies what it keeps. Each descent
+    ticks once.
 
-    A branch is cut when its matched size plus the sizes of all later agents
-    with a nonempty list is at most ``floor[0]``; the caller may raise
-    ``floor[0]`` between leaves. The default floor of -1 cuts nothing. The
-    stack is explicit, so the agent count is not bounded by the recursion
-    limit."""
-    n = len(sizes)
+    Once the first k agents are placed, and before the k-th descent ticks,
+    each ``test(assign, occ)`` of ``close[k]`` asks whether a pair that has
+    just become final blocks; True cuts the branch (for k = 0, everything).
+    A branch is also cut when its placed size plus the sizes of all later
+    agents with a nonempty list is at most ``floor[0]``, which the caller may
+    raise between leaves. The stack is explicit, so the agent count is not
+    bounded by the recursion limit."""
+    order = range(len(sizes)) if order is None else order
+    n = len(order)
     floor = floor if floor is not None else [-1]
-    widths = [len(options) for options in prefs]
-    # rest[a]: the most that agents a.. can still add to the matched size
-    rest = [0] * (n + 1)
-    for a in range(n - 1, -1, -1):
-        rest[a] = rest[a + 1] + (sizes[a] if widths[a] else 0)
-    assign = [UNMATCHED] * n
+    assign = [UNMATCHED] * len(sizes) if assign is None else assign
     occ = [0] * len(caps)
-    # choice[a]: position in prefs[a] of a's next branch; widths[a] is the
-    # unmatched branch, anything past it means a's branches are exhausted
+    for b, h in enumerate(assign):
+        if h != UNMATCHED:
+            occ[h] += sizes[b]
+    close = close or [()] * (n + 1)
+    if any(test(assign, occ) for test in close[0]):
+        return
+    sizes_at = [sizes[b] for b in order]
+    options_at = [prefs[b] for b in order]
+    widths = [len(options) for options in options_at]
+    # rest[p]: the most that positions p.. can still add to the matched size
+    rest = [0] * (n + 1)
+    for p in range(n - 1, -1, -1):
+        rest[p] = rest[p + 1] + (sizes_at[p] if widths[p] else 0)
+    # choice[p]: position in the options of p's next branch; widths[p] is the
+    # unmatched branch, anything past it means p's branches are exhausted
     choice = [0] * (n + 1)
     tick = ticker.tick
     lo = floor[0]
     value = 0
-    a = 0
-    while a >= 0:
-        if a == n:
-            yield assign, occ, value
+    p = 0
+    while p >= 0:
+        if p == n:
+            yield assign, value
             lo = floor[0]  # the caller may have raised it
-            a -= 1
+            p -= 1
             continue
-        s = sizes[a]
-        h = assign[a]
-        if h != UNMATCHED:  # back from the branch a -> h
-            assign[a] = UNMATCHED
+        b = order[p]
+        s = sizes_at[p]
+        h = assign[b]
+        if h != UNMATCHED:  # back from the branch b -> h
+            assign[b] = UNMATCHED
             occ[h] -= s
             value -= s
-        if value + rest[a] <= lo:
-            a -= 1
+        if value + rest[p] <= lo:
+            p -= 1
             continue
-        i = choice[a]
-        width = widths[a]
-        options = prefs[a]
+        i = choice[p]
+        width = widths[p]
+        options = options_at[p]
         while i < width:
             h = options[i]
             i += 1
             if occ[h] + s <= caps[h]:
-                assign[a] = h
+                assign[b] = h
                 occ[h] += s
                 value += s
                 break
         else:
-            if i > width or perfect or value + rest[a + 1] <= lo:
-                a -= 1
+            if i > width or perfect or value + rest[p + 1] <= lo:
+                p -= 1
                 continue
             i += 1  # the unmatched branch
-        tick()
-        choice[a] = i
-        a += 1
-        choice[a] = 0
+        choice[p] = i
+        for test in close[p + 1]:
+            if test(assign, occ):
+                break  # the next pass takes this branch back and tries the next
+        else:
+            tick()
+            p += 1
+            choice[p] = 0
+
+
+def _closer(
+    inst: HrsInstance,
+    kind: str,
+    order: Sequence[int],
+    hospitals: Iterable[int],
+    fixed_pairs: Iterable[tuple[int, int]] = (),
+) -> list[list[_CloseTest]]:
+    """The close checks of a ``_search`` over ``order``: the k-th list tests,
+    under ``kind``, the pairs final once the first k agents are placed. A
+    pair (b, h) is final once b and every agent that may still be placed at h
+    are placed; agents outside ``order`` count as placed from the start. Any
+    agent listing one of ``hospitals`` may be placed there, so its pairs are
+    final at its last listing agent: one ``verify._hospital_blocks`` test.
+    ``fixed_pairs`` have hospitals with fixed residents: final with b."""
+    placed = [0] * inst.n_agents
+    for k, b in enumerate(order, 1):
+        placed[b] = k
+    mask = verify._eviction_mask(inst.sizes, kind)
+    final: list[list[_CloseTest]] = [[] for _ in range(len(order) + 1)]
+    for h in hospitals:
+        listed = inst.hospital_prefs[h]
+        if listed:
+            last = max(map(placed.__getitem__, listed))
+            final[last].append(partial(verify._hospital_blocks, inst, h, None, mask))
+    for b, h in fixed_pairs:
+        final[placed[b]].append(partial(verify._hospital_blocks, inst, h, b, mask))
+    return final
 
 
 def enumerate_feasible(
@@ -188,35 +241,36 @@ def enumerate_feasible(
     budget = budget or SearchBudget()
     ticker = _Ticker(budget)
     yielded = 0
-    for assign, _, _ in _search(inst.sizes, inst.caps, inst.agent_prefs, ticker):
+    for assign, _ in _search(inst.sizes, inst.caps, inst.agent_prefs, ticker):
         yield Matching(assign)
         yielded += 1
         if budget.max_solutions is not None and yielded >= budget.max_solutions:
             raise BudgetExhausted(ticker.nodes)
 
 
-def _unblocked(
-    inst: HrsInstance, ticker: _Ticker, mode: str, perfect: bool = False
-) -> Iterator[Matching]:
-    """The feasible matchings with no blocking pair under ``mode``, in search
-    order."""
-    tester = verify.make_blocking_tester(inst, mode)
-    for assign, occ, _ in _search(inst.sizes, inst.caps, inst.agent_prefs, ticker, perfect):
-        if not tester(assign, occ):
-            yield Matching(assign)
+def _stable_leaves(
+    inst: HrsInstance, kind: str, ticker: _Ticker, perfect: bool = False,
+    floor: list[int] | None = None,
+) -> Iterator[tuple[list[int], int]]:
+    """The plain search with the close check of ``kind``: it cuts every
+    branch with a blocking pair, so each leaf is a matching with none."""
+    close = _closer(inst, kind, range(inst.n_agents), range(inst.n_hospitals))
+    return _search(inst.sizes, inst.caps, inst.agent_prefs, ticker, perfect, floor, close)
 
 
-def _all_unblocked(inst: HrsInstance, budget: SearchBudget, mode: str) -> OracleResult:
+def _all_unblocked(inst: HrsInstance, budget: SearchBudget, kind: str) -> OracleResult:
     ticker = _Ticker(budget)
     found: list[Matching] = []
+    verdict = COMPLETE
     try:
-        for m in _unblocked(inst, ticker, mode):
-            found.append(m)
+        for assign, _ in _stable_leaves(inst, kind, ticker):
+            found.append(Matching(assign))
             if budget.max_solutions is not None and len(found) >= budget.max_solutions:
-                return OracleResult(EXHAUSTED, found, None, ticker.nodes)
+                verdict = EXHAUSTED
+                break
     except BudgetExhausted:
-        return OracleResult(EXHAUSTED, found, None, ticker.nodes)
-    return OracleResult(COMPLETE, found, None, ticker.nodes)
+        verdict = EXHAUSTED
+    return OracleResult(verdict, found, None, ticker.nodes)
 
 
 def stable_matchings(
@@ -253,20 +307,15 @@ def max_occupancy_stable(
     every later agent with a nonempty list cannot exceed it. A leaf replaces
     the incumbent only when strictly larger, so the cut never changes the
     answer: the first maximum in search order."""
-    budget = budget or SearchBudget()
-    tester = verify.make_blocking_tester(inst, verify.OCCUPANCY)
-    ticker = _Ticker(budget)
+    ticker = _Ticker(budget or SearchBudget())
     best: list[Matching] = []
     floor = [-1]
     verdict = COMPLETE
     try:
-        for assign, occ, value in _search(
-            inst.sizes, inst.caps, inst.agent_prefs, ticker, floor=floor
-        ):
-            # the cut let this leaf through, so value > floor[0]
-            if not tester(assign, occ):
-                floor[0] = value
-                best[:] = [Matching(assign)]
+        for assign, value in _stable_leaves(inst, verify.OCCUPANCY, ticker, floor=floor):
+            # every leaf is stable, and the cut let it through, so value > floor[0]
+            floor[0] = value
+            best[:] = [Matching(assign)]
     except BudgetExhausted:
         verdict = EXHAUSTED
     return OracleResult(verdict, best, floor[0] if best else None, ticker.nodes)
@@ -280,12 +329,12 @@ def exists_a_perfect_occupancy_stable(
     full sweep finds none."""
     ticker = _Ticker(budget or SearchBudget())
     try:
-        witness = next(_unblocked(inst, ticker, verify.OCCUPANCY, perfect=True), None)
+        leaf = next(_stable_leaves(inst, verify.OCCUPANCY, ticker, perfect=True), None)
     except BudgetExhausted:
         return OracleResult(EXHAUSTED, [], None, ticker.nodes)
-    if witness is None:
+    if leaf is None:
         return OracleResult(COMPLETE, [], None, ticker.nodes)
-    return OracleResult(COMPLETE, [witness], matching_size(inst, witness), ticker.nodes)
+    return OracleResult(COMPLETE, [Matching(leaf[0])], leaf[1], ticker.nodes)
 
 
 def smti_complete_stable(smti: SmtiInstance) -> SmtiMatching | None:
@@ -300,7 +349,7 @@ def smti_complete_stable(smti: SmtiInstance) -> SmtiMatching | None:
     choices = [[w for group in smti.men_prefs[m] for w in group] for m in range(n)]
     # at most 7! complete assignments: the default node budget never trips
     ticker = _Ticker(SearchBudget())
-    for assign, _, _ in _search([1] * n, [1] * smti.n_women, choices, ticker, perfect=True):
+    for assign, _ in _search([1] * n, [1] * smti.n_women, choices, ticker, perfect=True):
         candidate = SmtiMatching(assign)
         if is_weakly_stable(smti, candidate):
             return candidate
@@ -322,24 +371,18 @@ def _components(
     for start in range(n_a):
         if seen_a[start]:
             continue
-        agents = [start]
-        hospitals: list[int] = []
         seen_a[start] = True
-        stack = [("a", start)]
+        agents, hospitals, stack = [start], [], [start]
         while stack:
-            kind, v = stack.pop()
-            if kind == "a":
-                for h in inst.agent_prefs[v]:
-                    if h not in removed and not seen_h[h]:
-                        seen_h[h] = True
-                        hospitals.append(h)
-                        stack.append(("h", h))
-            else:
-                for a in inst.hospital_prefs[v]:
-                    if not seen_a[a]:
-                        seen_a[a] = True
-                        agents.append(a)
-                        stack.append(("a", a))
+            for h in inst.agent_prefs[stack.pop()]:
+                if h not in removed and not seen_h[h]:
+                    seen_h[h] = True
+                    hospitals.append(h)
+                    for a in inst.hospital_prefs[h]:
+                        if not seen_a[a]:
+                            seen_a[a] = True
+                            agents.append(a)
+                            stack.append(a)
         comps.append((sorted(agents), sorted(hospitals)))
     for h in range(n_h):
         if not seen_h[h] and h not in removed:
@@ -462,139 +505,14 @@ def _interface_states(inst: HrsInstance, h: int) -> list[tuple[int, ...]]:
             f"interface hospital {inst.hospital_labels[h]} lists {len(neighbors)} "
             "agents; too wide to enumerate"
         )
-    cap = inst.caps[h]
-    sizes = inst.sizes
-    out: list[tuple[int, ...]] = []
-    for mask in range(1 << len(neighbors)):
-        members = [neighbors[i] for i in range(len(neighbors)) if (mask >> i) & 1]
-        if sum(sizes[a] for a in members) <= cap:
-            out.append(tuple(members))
-    out.sort(key=lambda s: (len(s), s))
-    return out
-
-
-def _block_solutions(
-    inst: HrsInstance,
-    block_agents: Sequence[int],
-    block_hospitals: Sequence[int],
-    iface_state: dict[int, tuple[int, ...]],
-    ticker: _Ticker,
-) -> list[tuple[int, ...]]:
-    """All assignments of the block agents (as tuples aligned with
-    block_agents; UNMATCHED allowed) that are feasible, consistent with the
-    interface state, and free of blocking pairs involving block agents.
-
-    Interface pairs are checked the moment the agent is assigned; pairs at an
-    internal hospital are checked once its last listed agent is assigned.
-    """
-    sizes, caps, prefs = inst.sizes, inst.caps, inst.agent_prefs
-    hospital_rank, agent_rank = inst.hospital_rank, inst.agent_rank
-    agents = list(block_agents)
-    internal = set(block_hospitals)
-    pos = {a: i for i, a in enumerate(agents)}
-    forced: dict[int, int] = {}
-    for h, members in iface_state.items():
-        for a in members:
-            if a in pos:
-                forced[a] = h
-    iface_occ = {
-        h: sum(sizes[a] for a in members) for h, members in iface_state.items()
-    }
-    # an internal hospital closes at the largest position among its residents
-    close_at: dict[int, list[int]] = {}
-    for h in internal:
-        listed = [a for a in inst.hospital_prefs[h] if a in pos]
-        if listed:
-            close_at.setdefault(max(pos[a] for a in listed), []).append(h)
-
-    assign: dict[int, int] = {}
-    occ = {h: 0 for h in internal}
-    members_at: dict[int, list[int]] = {h: [] for h in internal}
-    solutions: list[tuple[int, ...]] = []
-
-    def iface_blocks(a: int, chosen: int) -> bool:
-        # does a form a blocking pair with an interface hospital it prefers?
-        s_a = sizes[a]
-        for h in prefs[a]:
-            if h == chosen:
-                return False
-            if h not in iface_state:
-                continue
-            need = iface_occ[h] + s_a - caps[h]
-            if need <= 0:
-                return True
-            ranks = hospital_rank[h]
-            removable = sum(
-                sizes[b] for b in iface_state[h] if ranks[b] > ranks[a]
-            )
-            if removable >= need:
-                return True
-        return False
-
-    def internal_blocks(h: int) -> bool:
-        # with M(h) final, does any listed block agent prefer in?
-        ranks = hospital_rank[h]
-        o = occ[h]
-        cap = caps[h]
-        residents = members_at[h]
-        for b in inst.hospital_prefs[h]:
-            if b not in pos or assign.get(b) == h:
-                continue
-            cur = assign[b]
-            # does b prefer h to its assignment?
-            if cur != UNMATCHED and agent_rank[b][h] >= agent_rank[b][cur]:
-                continue
-            need = o + sizes[b] - cap
-            if need <= 0:
-                return True
-            rb = ranks[b]
-            removable = sum(sizes[c] for c in residents if ranks[c] > rb)
-            if removable >= need:
-                return True
-        return False
-
-    def rec(i: int) -> None:
-        if i == len(agents):
-            solutions.append(tuple(assign[a] for a in agents))
-            return
-        a = agents[i]
-        s_a = sizes[a]
-        if a in forced:
-            candidates: list[int] = [forced[a]]
-            allow_unmatched = False
-        else:
-            candidates = [
-                h for h in prefs[a]
-                if h in internal and occ[h] + s_a <= caps[h]
-            ]
-            allow_unmatched = True
-        for h in candidates:
-            ticker.tick()
-            if iface_blocks(a, h):
-                continue
-            assign[a] = h
-            is_internal = h in internal
-            if is_internal:
-                occ[h] += s_a
-                members_at[h].append(a)
-            if not any(internal_blocks(hh) for hh in close_at.get(i, ())):
-                rec(i + 1)
-            if is_internal:
-                occ[h] -= s_a
-                members_at[h].pop()
-        if allow_unmatched:
-            ticker.tick()
-            assign[a] = UNMATCHED
-            if not iface_blocks(a, UNMATCHED):
-                if not any(internal_blocks(hh) for hh in close_at.get(i, ())):
-                    rec(i + 1)
-        assign.pop(a, None)
-
-    if not agents:
-        # hospital-only block: nothing to assign, nothing can block
-        return [()]
-    rec(0)
-    return solutions
+    sizes, cap = inst.sizes, inst.caps[h]
+    # combinations of a sorted list come sorted within each size
+    return [
+        members
+        for r in range(len(neighbors) + 1)
+        for members in itertools.combinations(neighbors, r)
+        if sum(sizes[a] for a in members) <= cap
+    ]
 
 
 def _stable_decomposed(
@@ -607,26 +525,34 @@ def _stable_decomposed(
     iface_set = set(iface_list)
     blocks = _components(inst, iface_set)
     states = {h: _interface_states(inst, h) for h in iface_list}
-    owner: dict[int, int] = {}
-    for bi, (ags, _) in enumerate(blocks):
-        for a in ags:
-            owner[a] = bi
-    relevant: list[list[int]] = [[] for _ in blocks]
-    for h in iface_list:
-        touched = sorted({owner[a] for a in inst.hospital_prefs[h]})
-        for bi in touched:
-            relevant[bi].append(h)
+    # the interface hospitals on some list of the block's agents
+    relevant = [
+        sorted({h for a in agents for h in inst.agent_prefs[a] if h in iface_set})
+        for agents, _ in blocks
+    ]
+    # an agent outside every interface state stays in its block
+    options = [tuple(h for h in prefs if h not in iface_set) for prefs in inst.agent_prefs]
     memo: dict[tuple, list[tuple[int, ...]]] = {}
     found: list[Matching] = []
 
-    def block_key(bi: int, state: dict[int, tuple[int, ...]]) -> tuple:
-        return (bi,) + tuple((h, state[h]) for h in relevant[bi])
-
     def solve_block(bi: int, state: dict[int, tuple[int, ...]]) -> list[tuple[int, ...]]:
-        key = block_key(bi, state)
+        # the block agents' assignments that fit the state and leave none of them blocking
+        key = (bi,) + tuple((h, state[h]) for h in relevant[bi])
         if key not in memo:
-            sub_state = {h: state[h] for h in relevant[bi]}
-            memo[key] = _block_solutions(inst, blocks[bi][0], blocks[bi][1], sub_state, ticker)
+            agents, hospitals = blocks[bi]
+            start = [UNMATCHED] * inst.n_agents
+            for h in relevant[bi]:
+                for a in state[h]:
+                    start[a] = h
+            free = [a for a in agents if start[a] == UNMATCHED]
+            iface_pairs = [(a, h) for a in agents for h in inst.agent_prefs[a] if h in iface_set]
+            close = _closer(inst, verify.CLASSIC, free, hospitals, iface_pairs)
+            memo[key] = [
+                tuple(assign[a] for a in agents)
+                for assign, _ in _search(
+                    inst.sizes, inst.caps, options, ticker, close=close, order=free, assign=start
+                )
+            ]
         return memo[key]
 
     def emit(state: dict[int, tuple[int, ...]]) -> None:
@@ -647,30 +573,35 @@ def _stable_decomposed(
             if budget.max_solutions is not None and len(found) >= budget.max_solutions:
                 raise _SolutionCap
 
-    state: dict[int, tuple[int, ...]] = {}
-    claimed: set[int] = set()
-
-    def sweep(i: int) -> None:
-        if i == len(iface_list):
+    def sweep() -> None:
+        # every combination of disjoint states, one state iterator per placed hospital
+        state: dict[int, tuple[int, ...]] = {}
+        claimed: set[int] = set()
+        if not iface_list:
             emit(state)
             return
-        h = iface_list[i]
-        for st in states[h]:
-            if any(a in claimed for a in st):
+        stack = [iter(states[iface_list[0]])]
+        while stack:
+            i = len(stack) - 1
+            h = iface_list[i]
+            if h in state:  # back from h's previous state
+                claimed.difference_update(state.pop(h))
+            st = next((st for st in stack[i] if claimed.isdisjoint(st)), None)
+            if st is None:
+                stack.pop()
                 continue
             ticker.tick()
             state[h] = st
             claimed.update(st)
-            sweep(i + 1)
-            claimed.difference_update(st)
-        del state[h]
+            if i + 1 == len(iface_list):
+                emit(state)
+            else:
+                stack.append(iter(states[iface_list[i + 1]]))
 
     try:
-        sweep(0)
+        sweep()
         verdict = COMPLETE
-    except BudgetExhausted as exc:
-        return OracleResult(EXHAUSTED, sorted(found, key=lambda m: m.assign), None, exc.nodes)
-    except _SolutionCap:
+    except (BudgetExhausted, _SolutionCap):
         verdict = EXHAUSTED
     found.sort(key=lambda m: m.assign)
     return OracleResult(verdict, found, None, ticker.nodes)

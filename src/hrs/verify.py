@@ -7,14 +7,20 @@ variant additionally requires the eviction set to free at most s(a) positions,
 so the hospital never loses occupancy by the swap. A matching is stable
 (resp. occupancy-stable) when no pair of that kind blocks it.
 
-Every verifier runs one scan. It first builds an eviction table per hospital
-with residents: the residents sorted by the hospital's rank, and over each
-suffix of that order (worst-ranked upward) the evictable size total and the
-reachable subset sums as an integer bitset masked to the largest agent size.
-Building costs O(sum_h |M(h)| log |M(h)|). A candidate pair (a, h) then costs
-one bisect for a's rank, O(log |M(h)|), and one comparison (classic: total >=
-the size that must be freed) or one shift and mask (occupancy: a reachable sum
-between that size and s(a)).
+Every verifier runs one scan. A hospital's eviction table is built on its
+first candidate pair that needs an eviction: its residents sorted by its rank,
+and over each suffix of that order (worst-ranked upward) the evictable size
+total and the reachable subset sums as an integer bitset masked to the largest
+agent size. Building costs O(|M(h)| log |M(h)|).
+
+The pair test is written once, in ``_frees``: for an agent that needs more
+room than h has free, can evicting residents h ranks below it free enough?
+What those residents can free only grows as the agent's rank improves, so in
+the scan whether a pair blocks comes down to the agent's rank beating a bound
+that depends on h and the agent's size alone, found by a binary search over
+the table (``_rank_bound``) and kept per hospital and size: a candidate pair
+costs one dictionary lookup and one comparison. The oracle's close check,
+``_hospital_blocks``, tests one hospital's pairs in one walk up its list.
 
 Witnesses are rebuilt only for pairs that block: they take the smallest
 achievable eviction total and, among those, the lexicographically smallest
@@ -26,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .model import (
     UNMATCHED,
@@ -57,14 +63,17 @@ class BlockingWitness:
         }
 
 
-def _suffix_reachable(sizes: Sequence[int], limit: int) -> list[int]:
-    # suffix[i] = bitset of subset sums of sizes[i:], truncated to <= limit
-    mask = (1 << (limit + 1)) - 1
-    suffix = [0] * (len(sizes) + 1)
-    suffix[len(sizes)] = 1
-    for i in range(len(sizes) - 1, -1, -1):
-        b = suffix[i + 1]
-        suffix[i] = (b | (b << sizes[i])) & mask
+def _suffix_reachable(sizes: Sequence[int], mask: int | None) -> list[int]:
+    """Over each suffix ``sizes[i:]``, what evicting some of those agents can
+    free: the total when ``mask`` is None, otherwise the bitset of reachable
+    subset sums masked by ``mask``. Index len(sizes) is the empty suffix."""
+    if mask is None:
+        return list(accumulate(reversed(sizes), initial=0))[::-1]
+    suffix = [1]
+    for s in reversed(sizes):
+        bits = suffix[-1]
+        suffix.append((bits | (bits << s)) & mask)
+    suffix.reverse()
     return suffix
 
 
@@ -77,7 +86,7 @@ def _min_sum_eviction(
         return ()
     if hi < lo:
         return None
-    suffix = _suffix_reachable(sizes, hi)
+    suffix = _suffix_reachable(sizes, (1 << (hi + 1)) - 1)
     reachable = suffix[0]
     target = next((t for t in range(lo, hi + 1) if (reachable >> t) & 1), None)
     if target is None:
@@ -93,23 +102,40 @@ def _min_sum_eviction(
     return tuple(chosen)
 
 
-def _eviction_table(
-    members: Sequence[int], rank: dict[int, int], sizes: Sequence[int], limit: int | None
-) -> tuple[list[int], list[int], list[int]]:
-    """One hospital's residents sorted by rank, their ranks, and over each
-    suffix of that order (the worst-ranked residents) what evicting some of
-    them can free: the total size when ``limit`` is None, otherwise the bitset
-    of reachable subset sums masked by ``limit``."""
-    order = sorted(members, key=rank.__getitem__)
-    if limit is not None:
-        suffix = [1]
-        for b in reversed(order):
-            bits = suffix[-1]
-            suffix.append((bits | (bits << sizes[b])) & limit)
-    else:
-        suffix = list(accumulate([sizes[b] for b in reversed(order)], initial=0))
-    suffix.reverse()
-    return order, [rank[b] for b in order], suffix
+def _eviction_mask(sizes: Sequence[int], kind: str) -> int | None:
+    """The eviction sums a pair test of ``kind`` needs: any total for classic
+    (None); for occupancy at most the incoming size, so the largest size."""
+    return (1 << (max(sizes, default=0) + 1)) - 1 if kind == OCCUPANCY else None
+
+
+def _frees(reach: int, need: int, room: int, occupancy: bool) -> bool:
+    """The pair test, for an agent that needs ``need`` more than its
+    hospital's free ``room``: can evicting some of the residents ranked below
+    it, whose reachable sums are ``reach`` (as in ``_suffix_reachable``), free
+    at least ``need``, and for occupancy at most ``need + room``, its size?"""
+    if occupancy:
+        return reach & (((1 << (room + 1)) - 1) << need) != 0
+    return reach >= need
+
+
+def _rank_bound(
+    order: list[int], evictable: list[int], rank: dict[int, int], need: int, room: int,
+    occupancy: bool,
+) -> int:
+    """An agent that needs ``need`` more than the hospital's free ``room``
+    passes ``_frees`` exactly when the hospital ranks it better than the
+    returned rank. What the worst-ranked residents can free only grows as
+    the agent's rank improves, so a binary search over the hospital's
+    eviction table (``order`` and its ``evictable`` suffixes) finds it."""
+    lo, hi = 0, len(order)  # the empty suffix frees nothing
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _frees(evictable[mid], need, room, occupancy):
+            lo = mid + 1
+        else:
+            hi = mid
+    # the residents from position lo on cannot free enough
+    return rank[order[lo - 1]] if lo else 0
 
 
 def _scan_pairs(
@@ -126,9 +152,8 @@ def _scan_pairs(
     count as residents. Returns True if any pair blocks; fills ``out`` with
     all witnesses when collecting.
 
-    A hospital's eviction table is built on its first pair that needs an
-    eviction; each such pair is then a bisect on rank plus one comparison
-    (classic) or one shift and mask (occupancy).
+    A pair that needs an eviction compares the agent's rank with its
+    hospital's bound for the agent's size, computed on first use.
     """
     sizes = inst.sizes
     hospital_rank = inst.hospital_rank
@@ -143,9 +168,9 @@ def _scan_pairs(
                 residents[h].append(a)
             else:
                 residents[h] = [a]
-    tables: list[tuple[list[int], list[int], list[int]] | None] = [None] * len(free)
-    # occupancy evicts at most s(a) <= the largest size, so longer sums never matter
-    limit = (1 << (max(sizes, default=0) + 1)) - 1 if occupancy else None
+    # per hospital: residents in rank order, their suffixes' evictable sums, bounds by size
+    tables: list[tuple[list[int], list[int], dict[int, int]] | None] = [None] * len(free)
+    mask = _eviction_mask(sizes, kind)
     agent_prefs = inst.agent_prefs
     edge_ranks = inst.agent_pref_hranks_neg
     found = False
@@ -159,16 +184,18 @@ def _scan_pairs(
             if need > 0:
                 table = tables[h]
                 if table is None:
-                    table = tables[h] = _eviction_table(
-                        residents.get(h, ()), hospital_rank[h], sizes, limit
+                    rank = hospital_rank[h]
+                    order = sorted(residents.get(h, ()), key=rank.__getitem__)
+                    evictable = _suffix_reachable([sizes[b] for b in order], mask)
+                    table = tables[h] = (order, evictable, {})
+                bounds = table[2]
+                bound = bounds.get(s_a)
+                if bound is None:
+                    order, evictable, _ = table
+                    bound = bounds[s_a] = _rank_bound(
+                        order, evictable, hospital_rank[h], need, free[h], occupancy
                     )
-                order, ranks, evictable = table
-                i = bisect_right(ranks, -neg_rank)
-                # free[h] >= 0 on a feasible matching, so need <= s(a) here
-                if occupancy:
-                    if not (evictable[i] >> need) & ((1 << (free[h] + 1)) - 1):
-                        continue
-                elif evictable[i] < need:
+                if -neg_rank >= bound:
                     continue
             found = True
             if not collect:
@@ -176,12 +203,44 @@ def _scan_pairs(
             if need <= 0:
                 witness: tuple[int, ...] = ()
             else:
-                lower = sorted(order[i:])  # index order fixes the tie-break
+                order = tables[h][0]
+                below = bisect_right(order, -neg_rank, key=hospital_rank[h].__getitem__)
+                lower = sorted(order[below:])  # index order fixes the tie-break
                 lower_sizes = [sizes[b] for b in lower]
                 hi = s_a if occupancy else sum(lower_sizes)
                 witness = _min_sum_eviction(lower, lower_sizes, need, hi)
             out.append(BlockingWitness(a, h, witness, kind))
     return found
+
+
+def _hospital_blocks(
+    inst: HrsInstance, h: int, agent: int | None, mask: int | None,
+    assign: Sequence[int], occ: Sequence[int],
+) -> bool:
+    """Whether some agent on h's list (only ``agent``, when given) blocks with
+    h: the oracle's close check, once every agent that could still be placed
+    at h is placed. ``mask`` is ``_eviction_mask`` of the blocking kind,
+    ``assign`` holds every agent's hospital and ``occ`` every hospital's
+    occupancy. One walk up h's list from its worst-ranked agent adds each
+    resident to what evicting the residents so far can free, so each other
+    agent meets ``_frees`` with exactly the residents ranked below it."""
+    sizes = inst.sizes
+    agent_rank = inst.agent_rank
+    room = inst.caps[h] - occ[h]
+    occupancy = mask is not None
+    reach = 1 if occupancy else 0  # evicting nobody
+    for b in reversed(inst.hospital_prefs[h]):
+        cur = assign[b]
+        if cur == h:
+            s = sizes[b]
+            reach = (reach | (reach << s)) & mask if occupancy else reach + s
+        elif agent is None or b == agent:
+            if cur != UNMATCHED and agent_rank[b][cur] < agent_rank[b][h]:
+                continue  # b prefers where it is
+            need = sizes[b] - room
+            if need <= 0 or _frees(reach, need, room, occupancy):
+                return True
+    return False
 
 
 def _require_feasible(inst: HrsInstance, matching: Matching) -> None:
@@ -275,57 +334,3 @@ def is_a_perfect(inst: HrsInstance, matching: Matching) -> bool:
     """True when every agent is matched."""
     _require_feasible(inst, matching)
     return UNMATCHED not in matching.assign
-
-
-def make_blocking_tester(
-    inst: HrsInstance, kind: str = CLASSIC
-) -> Callable[[Sequence[int], Sequence[int]], bool]:
-    """Fast existence-only test over raw (assign, occupancy) arrays, for use in
-    enumeration inner loops. Assumes the assignment is feasible."""
-    if kind not in (CLASSIC, OCCUPANCY):
-        raise ValueError(f"unknown blocking kind {kind!r}")
-    n_agents = inst.n_agents
-    n_hospitals = inst.n_hospitals
-    sizes = inst.sizes
-    caps = inst.caps
-    agent_prefs = inst.agent_prefs
-    edge_ranks = inst.agent_pref_hranks_neg
-    hospital_rank = inst.hospital_rank
-    occupancy_kind = kind == OCCUPANCY
-
-    def has_blocking(assign: Sequence[int], occ: Sequence[int]) -> bool:
-        matched_at: list[list[int]] = [[] for _ in range(n_hospitals)]
-        for a in range(n_agents):
-            h = assign[a]
-            if h >= 0:
-                matched_at[h].append(a)
-        for a in range(n_agents):
-            cur = assign[a]
-            s_a = sizes[a]
-            for h, neg_rank in zip(agent_prefs[a], edge_ranks[a]):
-                if h == cur:
-                    break
-                need = occ[h] + s_a - caps[h]
-                if need <= 0:
-                    return True
-                ranks = hospital_rank[h]
-                rank_a = -neg_rank
-                if occupancy_kind:
-                    if need > s_a:
-                        continue
-                    bits = 1
-                    for b in matched_at[h]:
-                        if ranks[b] > rank_a:
-                            bits |= bits << sizes[b]
-                    if (bits >> need) & ((1 << (s_a - need + 1)) - 1):
-                        return True
-                else:
-                    removable = 0
-                    for b in matched_at[h]:
-                        if ranks[b] > rank_a:
-                            removable += sizes[b]
-                    if removable >= need:
-                        return True
-        return False
-
-    return has_blocking

@@ -286,13 +286,28 @@ def test_a_perfect_decision(no_stable_inst, gap_inst):
 
 
 def test_oracle_agrees_with_verifiers():
-    for inst in small_random_instances(25, seed=47):
-        stable = {m.assign for m in stable_matchings(inst).matchings}
-        occ = {m.assign for m in occupancy_stable_matchings(inst).matchings}
-        assert stable <= occ
-        for m in all_feasible_assignments(inst):
-            assert (m.assign in stable) == is_stable(inst, m)
-            assert (m.assign in occ) == is_occupancy_stable(inst, m)
+    """Each plain query's list is the canonical enumeration filtered by its
+    verifier, in order, and no query visits more nodes than the unpruned
+    search has."""
+    instances = itertools.chain(
+        small_random_instances(25, seed=47), small_random_instances(30, seed=13)
+    )
+    for inst in instances:
+        feasible = list(enumerate_feasible(inst))
+        assert {m.assign for m in feasible} == {m.assign for m in all_feasible_assignments(inst)}
+        stable = [m for m in feasible if is_stable(inst, m)]
+        occ = [m for m in feasible if is_occupancy_stable(inst, m)]
+        assert set(stable) <= set(occ)
+        best, _, unpruned = _reference_max_occ(inst)
+        perfect = [m for m in occ if UNMATCHED not in m.assign]
+        for res, expected in (
+            (stable_matchings(inst), stable),
+            (occupancy_stable_matchings(inst), occ),
+            (max_occupancy_stable(inst), [best]),
+            (exists_a_perfect_occupancy_stable(inst), perfect[:1]),
+        ):
+            assert res.complete and res.matchings == expected
+            assert res.nodes <= unpruned
 
 
 def test_oracle_contains_gen_ml_solver_output():
@@ -380,11 +395,37 @@ def test_smti_unequal_sides():
 
 
 def test_decompose_equals_plain_on_random():
+    rng = random.Random(53)
     for inst in small_random_instances(40, seed=53):
-        plain = {m.assign for m in stable_matchings(inst).matchings}
-        dec = stable_matchings(inst, strategy="decompose")
-        assert dec.complete
-        assert {m.assign for m in dec.matchings} == plain
+        plain = sorted(stable_matchings(inst).matchings, key=lambda m: m.assign)
+        narrow = [h for h in range(inst.n_hospitals) if len(inst.hospital_prefs[h]) <= 16]
+        pinned = sorted(h for h in narrow if rng.random() < 0.5)
+        for interfaces in (None, [], pinned):
+            dec = stable_matchings(inst, strategy="decompose", interfaces=interfaces)
+            assert dec.complete
+            assert dec.matchings == plain
+
+
+def _chain(n):
+    """Agent i lists h_i, then h_{i+1}; each hospital lists its (at most two)
+    agents in index order; every capacity and size is 1."""
+    agents = [(f"a{i}", 1, [f"h{i}", f"h{i + 1}"]) for i in range(n)]
+    hospitals = [(f"h{j}", 1, [f"a{i}" for i in (j - 1, j) if 0 <= i < n]) for j in range(n + 1)]
+    return HrsInstance.build(agents, hospitals)
+
+
+@pytest.mark.parametrize("interfaces, count", [
+    (range(1501), 0),
+    ([], 1),
+], ids=["every-hospital", "none"])
+def test_decompose_long_chain_without_recursion(interfaces, count):
+    # 1,501 interface hospitals to sweep, or one block of 1,500 agents; the
+    # node bound keeps the every-hospital sweep short, far past 1,000 levels
+    inst = _chain(1500)
+    budget = SearchBudget(max_solutions=1, max_nodes=20_000)
+    res = stable_matchings(inst, budget, strategy="decompose", interfaces=interfaces)
+    assert res.verdict == EXHAUSTED and len(res.matchings) == count
+    assert all(is_stable(inst, m) for m in res.matchings)
 
 
 def test_decompose_with_explicit_interfaces(no_stable_inst):

@@ -11,7 +11,6 @@ from hrs.verify import (
     is_a_perfect,
     is_occupancy_stable,
     is_stable,
-    make_blocking_tester,
 )
 from hrs.model import HrsInstance
 
@@ -238,16 +237,6 @@ def test_residual_rejects_negative_caps(no_stable_inst):
     empty = Matching.empty(no_stable_inst)
     with pytest.raises(ValueError):
         find_blocking_pairs_residual(no_stable_inst, empty, [-1, 2], [])
-
-
-def test_tester_matches_predicates():
-    for inst in small_random_instances(30, seed=13):
-        classic = make_blocking_tester(inst, "classic")
-        occk = make_blocking_tester(inst, "occupancy")
-        for matching in all_feasible_assignments(inst):
-            occ = occupancies(inst, matching)
-            assert (not classic(matching.assign, occ)) == is_stable(inst, matching)
-            assert (not occk(matching.assign, occ)) == is_occupancy_stable(inst, matching)
 
 
 def test_witness_json(no_stable_inst):
