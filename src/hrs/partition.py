@@ -6,9 +6,11 @@ preference lists *follow* such a partition when, scanning any hospital's list,
 the class index never decreases; an ordering with that property acts as a
 generalized master list and guarantees a stable outcome for the round-based
 solver. Detection builds the constraint digraph "a must not be classed after
-b" from consecutive entries of hospital lists, contracts strongly connected
-components (which are forced into one class and must therefore be
-size-homogeneous) and emits the condensation in topological order.
+b" as adjacency lists, one edge per consecutive pair of a hospital's list.
+One iterative Tarjan pass finds its strongly connected components, which are
+forced into one class, and returns None at the first one that mixes sizes.
+The condensation, built from the same lists, is emitted in topological order
+by Kahn's algorithm, smallest agent first.
 """
 
 from __future__ import annotations
@@ -103,61 +105,61 @@ def validate_ordered_partition(
     return report
 
 
-def _constraint_sccs(inst: HrsInstance) -> tuple[list[list[int]], list[int]]:
-    """Tarjan SCCs of the digraph with an edge a -> b for every consecutive
-    pair (a before b) in some hospital's list. Iterative to cope with long
-    preference chains."""
-    n = inst.n_agents
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for prefs in inst.hospital_prefs:
-        for x, y in zip(prefs, prefs[1:]):
-            if x != y:
-                adj[x].add(y)
+def _constraint_sccs(
+    adj: list[list[int]], sizes: Sequence[int]
+) -> tuple[list[list[int]], list[int]] | None:
+    """Tarjan SCCs of the digraph ``adj``, each sorted, and agent ->
+    component index; None as soon as a component mixes agent sizes.
+    Iterative, each frame an agent and the iterator over its successors, so
+    long preference chains need no recursion. A visited agent is on Tarjan's
+    stack exactly while its component is unknown."""
+    n = len(adj)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    comp = [-1] * n
     stack: list[int] = []
     sccs: list[list[int]] = []
-    comp = [-1] * n
     counter = 0
     for root in range(n):
-        if index[root] != -1:
+        if index[root] >= 0:
             continue
-        work = [(root, iter(adj[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
+        path, succ = [root], [iter(adj[root])]
+        while path:
+            v = path[-1]
+            lv = low[v]
+            for w in succ[-1]:
+                iw = index[w]
+                if iw < 0:  # descend; v resumes at its next successor
+                    low[v] = lv
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(adj[w])))
-                    advanced = True
+                    path.append(w)
+                    succ.append(iter(adj[w]))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    comp[w] = len(sccs)
-                    if w == v:
-                        break
-                sccs.append(sorted(component))
+                if iw < lv and comp[w] < 0:
+                    lv = iw
+            else:
+                path.pop()
+                succ.pop()
+                if lv == index[v]:
+                    c, size = len(sccs), sizes[v]
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        if sizes[w] != size:
+                            return None
+                        comp[w] = c
+                        members.append(w)
+                        if w == v:
+                            break
+                    members.sort()
+                    sccs.append(members)
+                elif lv < low[path[-1]]:
+                    low[path[-1]] = lv
     return sccs, comp
 
 
@@ -171,33 +173,38 @@ def detect_generalized_master_list(inst: HrsInstance) -> OrderedPartition | None
     one. The result always passes validate_ordered_partition with gen-ML
     checking on.
     """
-    sccs, comp = _constraint_sccs(inst)
-    for component in sccs:
-        if len({inst.sizes[a] for a in component}) > 1:
-            return None
-    k = len(sccs)
-    succ: list[set[int]] = [set() for _ in range(k)]
-    indeg = [0] * k
+    # a -> b for every consecutive pair (a before b) of some hospital's list;
+    # an edge two hospitals list appears twice, here and in the condensation
+    adj: list[list[int]] = [[] for _ in range(inst.n_agents)]
     for prefs in inst.hospital_prefs:
         for x, y in zip(prefs, prefs[1:]):
-            cx, cy = comp[x], comp[y]
-            if cx != cy and cy not in succ[cx]:
-                succ[cx].add(cy)
+            adj[x].append(y)
+    found = _constraint_sccs(adj, inst.sizes)
+    if found is None:
+        return None
+    sccs, comp = found
+    succ: list[list[int]] = [[] for _ in sccs]
+    indeg = [0] * len(sccs)
+    for x, targets in enumerate(adj):
+        cx = comp[x]
+        for y in targets:
+            cy = comp[y]
+            if cx != cy:
+                succ[cx].append(cy)
                 indeg[cy] += 1
-    ready = [(sccs[c][0], c) for c in range(k) if indeg[c] == 0]
+    # Kahn's algorithm, smallest agent first; a component is keyed by its
+    # smallest agent, which comp maps back to it
+    ready = [members[0] for c, members in enumerate(sccs) if indeg[c] == 0]
     heapq.heapify(ready)
-    order: list[int] = []
+    classes = []
     while ready:
-        _, c = heapq.heappop(ready)
-        order.append(c)
+        c = comp[heapq.heappop(ready)]
+        classes.append(tuple(sccs[c]))
         for d in succ[c]:
             indeg[d] -= 1
             if indeg[d] == 0:
-                heapq.heappush(ready, (sccs[d][0], d))
-    if len(order) != k:  # cycle between components cannot happen by construction
-        return None
-    classes = tuple(tuple(sccs[c]) for c in order)
-    return OrderedPartition(classes, DETECTED_GEN_ML)
+                heapq.heappush(ready, sccs[d][0])
+    return OrderedPartition(tuple(classes), DETECTED_GEN_ML)
 
 
 def parse_partition(inst: HrsInstance, text: str) -> OrderedPartition:

@@ -16,11 +16,12 @@ agent size. Building costs O(|M(h)| log |M(h)|).
 The pair test is written once, in ``_frees``: for an agent that needs more
 room than h has free, can evicting residents h ranks below it free enough?
 What those residents can free only grows as the agent's rank improves, so in
-the scan whether a pair blocks comes down to the agent's rank beating a bound
+the scan whether a pair blocks comes down to the agent's rank beating a limit
 that depends on h and the agent's size alone, found by a binary search over
-the table (``_rank_bound``) and kept per hospital and size: a candidate pair
-costs one dictionary lookup and one comparison. The oracle's close check,
-``_hospital_blocks``, tests one hospital's pairs in one walk up its list.
+the table (``_rank_bound``) on first use. The scan keeps one list of these
+limits per agent size, indexed by hospital: a candidate pair costs one list
+index and one comparison. The oracle's close check, ``_hospital_blocks``,
+tests one hospital's pairs in one walk up its list.
 
 Witnesses are rebuilt only for pairs that block: they take the smallest
 achievable eviction total and, among those, the lexicographically smallest
@@ -152,8 +153,10 @@ def _scan_pairs(
     count as residents. Returns True if any pair blocks; fills ``out`` with
     all witnesses when collecting.
 
-    A pair that needs an eviction compares the agent's rank with its
-    hospital's bound for the agent's size, computed on first use.
+    A pair blocks exactly when its negated hospital-side rank is above its
+    hospital's entry in the limit list of the agent's size. Entries start at
+    ``unset``, below every negated rank, so a first test falls through to
+    ``_rank_bound``; a hospital with room for the agent keeps ``unset``.
     """
     sizes = inst.sizes
     hospital_rank = inst.hospital_rank
@@ -168,34 +171,41 @@ def _scan_pairs(
                 residents[h].append(a)
             else:
                 residents[h] = [a]
-    # per hospital: residents in rank order, their suffixes' evictable sums, bounds by size
-    tables: list[tuple[list[int], list[int], dict[int, int]] | None] = [None] * len(free)
-    mask = _eviction_mask(sizes, kind)
+    # per hospital: residents in rank order and their suffixes' evictable sums
+    n_h = len(free)
+    tables: list[tuple[list[int], list[int]] | None] = [None] * n_h
+    unset = -len(sizes)  # below every negated rank
+    limits: dict[int, list[int]] = {}  # agent size -> negated rank limit per hospital
+    mask = 0  # _eviction_mask(sizes, kind), set by the first table
     agent_prefs = inst.agent_prefs
     edge_ranks = inst.agent_pref_hranks_neg
     found = False
     for a in agents:
         cur = assign[a]
+        prefs = agent_prefs[a]
+        if not prefs or prefs[0] == cur:
+            continue  # no hospital preferred to the assignment
         s_a = sizes[a]
-        for h, neg_rank in zip(agent_prefs[a], edge_ranks[a]):
+        limit = limits.get(s_a)
+        if limit is None:
+            limit = limits[s_a] = [unset] * n_h
+        for h, neg_rank in zip(prefs, edge_ranks[a]):
             if h == cur:
                 break  # remaining hospitals are not preferred to the assignment
+            if neg_rank <= limit[h]:
+                continue
             need = s_a - free[h]
-            if need > 0:
+            if need > 0 and limit[h] == unset:
+                rank = hospital_rank[h]
                 table = tables[h]
                 if table is None:
-                    rank = hospital_rank[h]
+                    if mask == 0:
+                        mask = _eviction_mask(sizes, kind)
                     order = sorted(residents.get(h, ()), key=rank.__getitem__)
-                    evictable = _suffix_reachable([sizes[b] for b in order], mask)
-                    table = tables[h] = (order, evictable, {})
-                bounds = table[2]
-                bound = bounds.get(s_a)
-                if bound is None:
-                    order, evictable, _ = table
-                    bound = bounds[s_a] = _rank_bound(
-                        order, evictable, hospital_rank[h], need, free[h], occupancy
-                    )
-                if -neg_rank >= bound:
+                    table = tables[h] = (order, _suffix_reachable([sizes[b] for b in order], mask))
+                order, evictable = table
+                bound = limit[h] = -_rank_bound(order, evictable, rank, need, free[h], occupancy)
+                if neg_rank <= bound:
                     continue
             found = True
             if not collect:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hrs.model import FormatError, HrsInstance
@@ -10,7 +12,7 @@ from hrs.partition import (
     size_descending_partition,
     validate_ordered_partition,
 )
-from hrs.harness import GenParams, gen_master_list
+from hrs.harness import GenParams, gen_master_list, gen_random
 
 from conftest import has_gen_master_list_naive, small_random_instances
 
@@ -59,16 +61,96 @@ def test_detect_single_agent():
     assert p is not None and classes_by_label(inst, p) == [("a1",)]
 
 
+def reference_classes(inst):
+    """Detection by definition: classes of mutually reachable agents in the
+    digraph of consecutive hospital-list entries, ordered by Kahn's algorithm
+    taking the smallest agent index first; None when a class mixes sizes."""
+    n = inst.n_agents
+    succ = [set() for _ in range(n)]
+    for prefs in inst.hospital_prefs:
+        for x, y in zip(prefs, prefs[1:]):
+            succ[x].add(y)
+    reach = []
+    for a in range(n):
+        seen, todo = {a}, [a]
+        while todo:
+            for y in succ[todo.pop()] - seen:
+                seen.add(y)
+                todo.append(y)
+        reach.append(seen)
+    classes = {tuple(b for b in sorted(reach[a]) if a in reach[b]) for a in range(n)}
+    if any(len({inst.sizes[a] for a in cls}) > 1 for cls in classes):
+        return None
+    preds = [{x for x in range(n) if y in succ[x]} for y in range(n)]
+    order, placed = [], set()
+    while classes:
+        ready = [c for c in classes if all(preds[y] <= placed | set(c) for y in c)]
+        first = min(ready)  # disjoint sorted tuples: the smallest first agent
+        order.append(first)
+        placed.update(first)
+        classes.remove(first)
+    return tuple(order)
+
+
 def test_detect_matches_brute_force():
     agree = 0
     for inst in small_random_instances(150, seed=21, max_agents=5):
         detected = detect_generalized_master_list(inst)
         exists = has_gen_master_list_naive(inst)
         assert (detected is not None) == exists
+        assert (None if detected is None else detected.classes) == reference_classes(inst)
         if detected is not None:
             assert validate_ordered_partition(inst, detected, require_gen_ml=True).ok
             agree += 1
     assert agree > 10  # a healthy share must be detectable
+
+
+def test_detect_classes_and_order_match_reference():
+    rng = random.Random(23)
+    outcomes = {True: 0, False: 0}
+    for i in range(200):
+        params = GenParams(
+            n_agents=rng.randint(1, 12), n_hospitals=rng.randint(1, 5),
+            size_range=(1, rng.choice([1, 2, 3])), density=rng.choice([0.3, 0.6, 1.0]),
+            seed=23_000 + i,
+        )
+        inst = (gen_master_list if i % 2 else gen_random)(params)
+        detected = detect_generalized_master_list(inst)
+        assert (None if detected is None else detected.classes) == reference_classes(inst)
+        outcomes[detected is None] += 1
+    assert min(outcomes.values()) > 20
+
+
+def _listed_by(orders, sizes):
+    """Agents a0.. with the given sizes, each listing every hospital that
+    lists it; hospital k lists the agents in ``orders[k]``."""
+    n = len(sizes)
+    agent_prefs = [[] for _ in range(n)]
+    for h, order in enumerate(orders):
+        for a in order:
+            agent_prefs[a].append(h)
+    return HrsInstance(
+        [f"a{a}" for a in range(n)], sizes, agent_prefs,
+        [f"h{h}" for h in range(len(orders))], [1] * len(orders), orders,
+    )
+
+
+def test_detect_deep_chains():
+    n = 100_000
+    rng = random.Random(29)
+    order = list(range(n))
+    rng.shuffle(order)
+    sizes = [rng.randint(1, 3) for _ in range(n)]
+    # one strict list: a chain of n singleton classes in list order
+    chain = detect_generalized_master_list(_listed_by([order], sizes))
+    assert chain.classes == tuple((a,) for a in order)
+    # the same agents listed both ways round: one class
+    both = [order, order[::-1]]
+    assert detect_generalized_master_list(_listed_by(both, [2] * n)).classes == (tuple(range(n)),)
+    # ... which cannot hold an agent of another size
+    mixed = [2] * n
+    mixed[order[n // 2]] = 1
+    assert detect_generalized_master_list(_listed_by(both, mixed)) is None
 
 
 def test_detect_on_generated_master_lists():

@@ -13,6 +13,7 @@ from hrs.verify import (
     is_stable,
 )
 from hrs.model import HrsInstance
+from hrs.harness import GenParams, gen_random
 
 from conftest import all_feasible_assignments, naive_blocking_pairs, small_random_instances
 
@@ -250,3 +251,78 @@ def test_empty_instance_all_stable():
     inst = HrsInstance.build([], [])
     m = Matching.empty(inst)
     assert is_stable(inst, m) and is_occupancy_stable(inst, m) and is_a_perfect(inst, m)
+
+
+def _check_against_naive(inst, matching, caps, agents):
+    """All five entry points agree with the definition on one matching; the
+    residual finder runs under ``caps`` over ``agents``."""
+    for kind, finder, predicate in (
+        ("classic", find_blocking_pairs, is_stable),
+        ("occupancy", find_occupancy_blocking_pairs, is_occupancy_stable),
+    ):
+        got = finder(inst, matching)
+        want = naive_blocking_pairs(inst, matching, kind)
+        assert [(w.agent, w.hospital) for w in got] == want
+        assert predicate(inst, matching) == (not want)
+        for w in got:
+            assert w.displaced == brute_force_eviction(
+                inst, matching, inst.caps, w.agent, w.hospital, kind
+            )
+    allowed = {(a, h) for a in agents for h in inst.agent_prefs[a]}
+    got = find_blocking_pairs_residual(inst, matching, caps, agents)
+    want = [e for e in naive_blocking_pairs(inst, matching, "classic", caps) if e in allowed]
+    assert [(w.agent, w.hospital) for w in got] == want
+    for w in got:
+        assert w.displaced == brute_force_eviction(
+            inst, matching, caps, w.agent, w.hospital, "classic"
+        )
+    return got
+
+
+def test_limits_kept_per_agent_size():
+    # h has one free position: it fits the size-1 agents outright, while a
+    # size-2 agent blocks only by evicting residents ranked below it, and for
+    # occupancy only residents of total size at most 2
+    order = ["x2a", "x1", "r1", "x2b", "r2", "x2c", "x1b"]
+    sizes = {"x2a": 2, "x1": 1, "r1": 1, "x2b": 2, "r2": 3, "x2c": 2, "x1b": 1}
+    inst = HrsInstance.build([(a, sizes[a], ["h"]) for a in order], [("h", 5, order)])
+    m = Matching.from_labeled_pairs(inst, [("r1", "h"), ("r2", "h")])
+    agents = range(inst.n_agents)
+    _check_against_naive(inst, m, inst.caps, agents)
+
+    def labelled(witnesses):
+        return [
+            (inst.agent_labels[w.agent], tuple(inst.agent_labels[b] for b in w.displaced))
+            for w in witnesses
+        ]
+
+    assert labelled(find_blocking_pairs(inst, m)) == [
+        ("x2a", ("r1",)), ("x1", ()), ("x2b", ("r2",)), ("x1b", ()),
+    ]
+    assert labelled(find_occupancy_blocking_pairs(inst, m)) == [
+        ("x2a", ("r1",)), ("x1", ()), ("x1b", ()),
+    ]
+    assert not is_stable(inst, m) and not is_occupancy_stable(inst, m)
+    # with capacity 4 nothing is free: size 1 needs one position, size 2 two
+    residual = _check_against_naive(inst, m, [4], agents)
+    assert labelled(residual) == [("x2a", ("r2",)), ("x1", ("r1",)), ("x2b", ("r2",))]
+
+
+def test_verifiers_vs_naive_sizes_up_to_four():
+    rng = random.Random(41)
+    checked = 0
+    for i in range(80):
+        inst = gen_random(GenParams(
+            n_agents=rng.randint(1, 6), n_hospitals=rng.randint(1, 3), size_range=(1, 4),
+            cap_range=(1, 8), density=rng.choice([0.5, 0.8, 1.0]), seed=4_100 + i,
+        ))
+        matchings = list(all_feasible_assignments(inst))
+        rng.shuffle(matchings)
+        for matching in matchings[:12]:
+            occ = occupancies(inst, matching)
+            caps = [rng.randint(o, c) for o, c in zip(occ, inst.caps)]
+            matched = [a for a, h in enumerate(matching.assign) if h != UNMATCHED]
+            agents = sorted(set(matched) | {a for a in range(inst.n_agents) if rng.random() < 0.6})
+            _check_against_naive(inst, matching, caps, agents)
+            checked += 1
+    assert checked > 500
