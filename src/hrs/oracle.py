@@ -393,11 +393,13 @@ def _components(
 def _split(
     parts: list[tuple[int, int]], h: int, neighbours: list[int], agent_bits: list[int],
     limit: int | None = None,
-) -> list[tuple[int, int]] | None:
+) -> list[tuple[int, int]] | tuple[int, int]:
     """The parts (hospital bitset, agent count) of a block once hospital h is
     cut as well: only the part holding h changes, into the components of its
-    other hospitals, found by a BFS over hospital bitsets. Returns None as
-    soon as a new part is seen to hold more than ``limit`` agents."""
+    other hospitals, found by a BFS over hospital bitsets. As soon as the
+    hospitals grown so far for a new part hold more than ``limit`` agents,
+    returns instead that witness: those connected hospitals and their agent
+    count, as one (hospital bitset, agent count) pair."""
     bit = 1 << h
     out = []
     for part in parts:
@@ -407,7 +409,7 @@ def _split(
         left = part[0] ^ bit
         while left:
             comp = frontier = left & -left
-            agents = 0
+            agents = grown = 0
             while frontier:
                 grow = 0
                 while frontier:
@@ -415,11 +417,12 @@ def _split(
                     i = low.bit_length() - 1
                     grow |= neighbours[i]
                     agents |= agent_bits[i]
+                    grown |= low
                     frontier ^= low
+                    if limit is not None and agents.bit_count() > limit:
+                        return grown, agents.bit_count()
                 frontier = grow & left & ~comp
                 comp |= frontier
-                if limit is not None and agents.bit_count() > limit:
-                    return None
             out.append((comp, agents.bit_count()))
             left ^= comp
     return out
@@ -437,10 +440,17 @@ def auto_interfaces(inst: HrsInstance, max_block_agents: int = 12) -> list[int]:
     sharing an agent) and its agents as int bitsets. A cut's parts, as
     (hospital bitset, agent count) pairs, come from the parts of the cut one
     hospital smaller by splitting only the part that holds the newly cut
-    hospital. The parts of one- and two-hospital cuts are kept until the round
-    ends. Three-hospital cuts are only scored, and a split stops as soon as
-    one of its parts is too large to beat the best cut so far. An agent whose
-    hospitals are all cut is a block of one."""
+    hospital. Single cuts are split in full and set the best key. Pair and
+    triple cuts are only scored: a split stops as soon as the hospitals it has
+    grown for one part hold more agents than the best count, and those
+    connected hospitals are a witness. The best key only falls during a
+    round, so the witness stays valid until the round ends: a cut that misses
+    all of its hospitals leaves it inside one block and cannot win. Each
+    candidate keeps a bitset of the witnesses that hold it, and a cut is
+    split only when its candidates' bitsets cover every witness. A pair's
+    parts are split, and kept for the round, only when a triple that extends
+    it passes this test. An agent whose hospitals are all cut is a block of
+    one."""
     agent_bits = [0] * inst.n_hospitals
     neighbours = [0] * inst.n_hospitals
     for a, hs in enumerate(inst.agent_prefs):
@@ -463,33 +473,54 @@ def auto_interfaces(inst: HrsInstance, max_block_agents: int = 12) -> list[int]:
         candidates = [h for h in big_hospitals if len(inst.hospital_prefs[h]) >= 2]
         candidates.sort(key=lambda h: -len(inst.hospital_prefs[h]))
         candidates = candidates[:24]
-        best: tuple[int, tuple[int, ...]] | None = None
-        # cuts of the previous size, as candidate positions, with their parts
-        level = [((), [(sum(1 << h for h in big_hospitals), worst)])]
-        for r in (1, 2, 3):
-            deeper = []
-            for cut, parts in level:
-                for k in range(cut[-1] + 1 if cut else 0, len(candidates)):
-                    h = candidates[k]
-                    subset = tuple(sorted([candidates[j] for j in cut] + [h]))
-                    limit = None
-                    if r == 3:
-                        # only scored: drop the cut once a part is too large
-                        # for (w, subset) to beat the best key
-                        limit = best[0] if subset < best[1] else best[0] - 1
-                        if others > limit or any(n > limit for m, n in parts if not m >> h & 1):
-                            continue
-                    split = _split(parts, h, neighbours, agent_bits, limit)
-                    if split is None:
-                        continue
-                    key = (max(others, max((n for _, n in split), default=1)), subset)
-                    if best is None or key < best:
-                        best = key
-                    if r < 3:
-                        deeper.append((cut + (k,), split))
-            level = deeper
-            if best is not None and best[0] <= max_block_agents:
-                break
+        whole = [(sum(1 << h for h in big_hospitals), worst)]
+        singles = [_split(whole, h, neighbours, agent_bits) for h in candidates]
+        best = min(
+            ((max(others, max((n for _, n in parts), default=1)), (h,))
+             for h, parts in zip(candidates, singles)),
+            default=None,
+        )
+        cover = [0] * len(candidates)  # per candidate, the witnesses holding it
+        hit = 0  # every witness so far
+
+        def score(parts: list[tuple[int, int]], h: int, subset: tuple[int, ...]):
+            """Split parts by h unless the cut cannot beat the best key; keep
+            its key if it does, and learn the witness if the split stops."""
+            nonlocal best, hit
+            limit = best[0] if subset < best[1] else best[0] - 1
+            if others > limit or any(n > limit for m, n in parts if not m >> h & 1):
+                return None
+            # stopping above the best count, not above limit, keeps every
+            # witness valid for the rest of the round
+            split = _split(parts, h, neighbours, agent_bits, best[0])
+            if type(split) is tuple:
+                bit = hit + 1
+                hit |= bit
+                for k, c in enumerate(candidates):
+                    if split[0] >> c & 1:
+                        cover[k] |= bit
+                return None
+            key = (max(others, max((n for _, n in split), default=1)), subset)
+            if key < best:
+                best = key
+            return split
+
+        pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        if best is not None and best[0] > max_block_agents:
+            for i, j in itertools.combinations(range(len(candidates)), 2):
+                if cover[i] | cover[j] == hit:
+                    hi, hj = candidates[i], candidates[j]
+                    split = score(singles[i], hj, (hi, hj) if hi < hj else (hj, hi))
+                    if split is not None:
+                        pairs[i, j] = split
+        if best is not None and best[0] > max_block_agents:
+            for i, j, k in itertools.combinations(range(len(candidates)), 3):
+                if cover[i] | cover[j] | cover[k] != hit:
+                    continue
+                parts = pairs.get((i, j))
+                if parts is None:
+                    parts = pairs[i, j] = _split(singles[i], candidates[j], neighbours, agent_bits)
+                score(parts, candidates[k], tuple(sorted((candidates[i], candidates[j], candidates[k]))))
         if best is None or best[0] >= worst:
             break  # no hospital set helps; give up splitting further
         interfaces.update(best[1])

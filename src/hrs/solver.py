@@ -39,7 +39,7 @@ from .model import (
     occupancies,
 )
 from .partition import OrderedPartition, size_descending_partition, validate_ordered_partition
-from .verify import find_blocking_pairs_residual
+from .verify import _residual_pairs
 
 
 @dataclass(frozen=True)
@@ -179,10 +179,11 @@ def check_trace(inst: HrsInstance, trace: SolveTrace) -> ValidationReport:
         if tuple(sorted(rnd.agents)) != tuple(sorted(cls)):
             report.add("error", loc, "round agents differ from partition class")
         agent_set = set(rnd.agents)
+        agents = sorted(agent_set)
+        if agents and (agents[0] < 0 or agents[-1] >= n_agents):
+            agents = [a for a in agents if 0 <= a < n_agents]
         assign = rnd.matching.assign
-        matched = [
-            a for a in sorted(agent_set) if 0 <= a < n_agents and assign[a] != UNMATCHED
-        ]
+        matched = [a for a in agents if assign[a] != UNMATCHED]
         if len(matched) != len(assign) - assign.count(UNMATCHED):
             matched = rnd.matching.matched_agents()  # some match lies outside the class
         round_matched.append(matched)
@@ -193,8 +194,9 @@ def check_trace(inst: HrsInstance, trace: SolveTrace) -> ValidationReport:
             if a not in agent_set or h not in agent_rank[a]:
                 report.add("error", loc, f"matched pair ({a}, {h}) outside round edges")
         try:
-            blocking = find_blocking_pairs_residual(
-                inst, rnd.matching, rnd.residual_caps, rnd.agents
+            # find_blocking_pairs_residual on the agent lists built above
+            blocking = _residual_pairs(
+                inst, assign, rnd.residual_caps, agent_set, agents, matched
             )
         except ValueError as exc:
             blocking_issues.append((loc, str(exc)))

@@ -143,14 +143,16 @@ def _scan_pairs(
     inst: HrsInstance,
     assign: Sequence[int],
     kind: str,
-    caps: Sequence[int],
+    free: list[int],
+    residents: dict[int, list[int]],
     agents: Iterable[int],
     collect: bool,
     out: list[BlockingWitness] | None,
 ) -> bool:
     """Walk candidate pairs of ``agents`` (ascending) in canonical order (agent
-    index, then that agent's preference order). Only those agents' assignments
-    count as residents. Returns True if any pair blocks; fills ``out`` with
+    index, then that agent's preference order). ``free`` holds each
+    hospital's free capacity and ``residents`` its residents, ascending,
+    among those agents. Returns True if any pair blocks; fills ``out`` with
     all witnesses when collecting.
 
     A pair blocks exactly when its negated hospital-side rank is above its
@@ -161,16 +163,6 @@ def _scan_pairs(
     sizes = inst.sizes
     hospital_rank = inst.hospital_rank
     occupancy = kind == OCCUPANCY
-    free = list(caps)
-    residents: dict[int, list[int]] = {}
-    for a in agents:
-        h = assign[a]
-        if h != UNMATCHED:
-            free[h] -= sizes[a]
-            if h in residents:
-                residents[h].append(a)
-            else:
-                residents[h] = [a]
     # per hospital: residents in rank order and their suffixes' evictable sums
     n_h = len(free)
     tables: list[tuple[list[int], list[int]] | None] = [None] * n_h
@@ -253,17 +245,39 @@ def _hospital_blocks(
     return False
 
 
-def _require_feasible(inst: HrsInstance, matching: Matching) -> None:
-    ok, msg = is_feasible(inst, matching)
-    if not ok:
-        raise ValueError(f"infeasible matching: {msg}")
+def _placed(inst: HrsInstance, matching: Matching) -> tuple[list[int], dict[int, list[int]]]:
+    """Each hospital's free capacity and residents (ascending) under a
+    matching of the whole instance, from one pass that also checks it is
+    feasible. A fault raises ValueError with ``model.is_feasible``'s message,
+    which is only computed then."""
+    assign = matching.assign
+    free = list(inst.caps)
+    residents: dict[int, list[int]] = {}
+    if len(assign) == inst.n_agents:
+        sizes = inst.sizes
+        agent_rank = inst.agent_rank
+        for a, h in enumerate(assign):
+            if h == UNMATCHED:
+                continue
+            if h not in agent_rank[a]:
+                break
+            free[h] -= sizes[a]
+            if h in residents:
+                residents[h].append(a)
+            else:
+                residents[h] = [a]
+        else:
+            if min(free, default=0) >= 0:
+                return free, residents
+    _, msg = is_feasible(inst, matching)
+    raise ValueError(f"infeasible matching: {msg}")
 
 
 def _scan_all(inst: HrsInstance, matching: Matching, kind: str, collect: bool,
               out: list[BlockingWitness] | None) -> bool:
-    _require_feasible(inst, matching)
+    free, residents = _placed(inst, matching)
     return _scan_pairs(
-        inst, matching.assign, kind, inst.caps, range(inst.n_agents), collect, out
+        inst, matching.assign, kind, free, residents, range(inst.n_agents), collect, out
     )
 
 
@@ -296,11 +310,6 @@ def find_blocking_pairs_residual(
     plus C-speed passes over the capacity and assignment vectors, so auditing
     every round of a solve costs about one full scan.
     """
-    residual_caps = list(residual_caps)
-    if len(residual_caps) != inst.n_hospitals:
-        raise ValueError("residual capacity vector has wrong length")
-    if residual_caps and min(residual_caps) < 0:
-        raise ValueError("negative residual capacity")
     n_agents = inst.n_agents
     agent_set = {a for a in agents if 0 <= a < n_agents}
     agents = sorted(agent_set)
@@ -310,16 +319,41 @@ def find_blocking_pairs_residual(
         # some matched agent lies outside the given ones: check every agent so
         # the report names the same first fault as a full scan would
         matched = [a for a, h in enumerate(assign) if h != UNMATCHED]
+    return _residual_pairs(inst, assign, residual_caps, agent_set, agents, matched)
+
+
+def _residual_pairs(
+    inst: HrsInstance,
+    assign: Sequence[int],
+    residual_caps: Sequence[int],
+    agent_set: set[int],
+    agents: list[int],
+    matched: list[int],
+) -> list[BlockingWitness]:
+    """``find_blocking_pairs_residual`` once its agents are known: the given
+    ones as a set and, in range, ascending, and the matched ones among them
+    in that order, or every matched agent when some lies outside them."""
+    residual_caps = list(residual_caps)
+    if len(residual_caps) != inst.n_hospitals:
+        raise ValueError("residual capacity vector has wrong length")
+    if residual_caps and min(residual_caps) < 0:
+        raise ValueError("negative residual capacity")
     sizes = inst.sizes
-    occ: dict[int, int] = {}
+    residents: dict[int, list[int]] = {}
     for a in matched:
         h = assign[a]
-        occ[h] = occ.get(h, 0) + sizes[a]
-    for h in sorted(occ):
-        if occ[h] > residual_caps[h]:
+        if h in residents:
+            residents[h].append(a)
+        else:
+            residents[h] = [a]
+    free = residual_caps[:]
+    for h in sorted(residents):
+        occ = sum(sizes[a] for a in residents[h])
+        if occ > residual_caps[h]:
             raise ValueError(
                 f"matching infeasible under residual capacities at {inst.hospital_labels[h]}"
             )
+        free[h] = residual_caps[h] - occ
     for a in matched:
         h = assign[a]
         if a not in agent_set or h not in inst.agent_rank[a]:
@@ -328,7 +362,7 @@ def find_blocking_pairs_residual(
                 "outside the given subgraph"
             )
     out: list[BlockingWitness] = []
-    _scan_pairs(inst, assign, CLASSIC, residual_caps, agents, True, out)
+    _scan_pairs(inst, assign, CLASSIC, free, residents, agents, True, out)
     return out
 
 
@@ -342,5 +376,5 @@ def is_occupancy_stable(inst: HrsInstance, matching: Matching) -> bool:
 
 def is_a_perfect(inst: HrsInstance, matching: Matching) -> bool:
     """True when every agent is matched."""
-    _require_feasible(inst, matching)
+    _placed(inst, matching)
     return UNMATCHED not in matching.assign

@@ -23,6 +23,7 @@ from hrs.solver import solve, solve_occupancy
 from hrs.partition import detect_generalized_master_list
 from hrs.verify import is_occupancy_stable, is_stable
 from hrs.harness import GenParams, gen_csmti, gen_master_list, gen_random
+from hrs import oracle
 
 from conftest import all_feasible_assignments, small_random_instances
 
@@ -505,3 +506,57 @@ def test_auto_interfaces_matches_reference_on_random():
         ))
         assert auto_interfaces(inst) == _reference_auto_interfaces(inst)
         assert auto_interfaces(inst, 4) == _reference_auto_interfaces(inst, 4)
+
+
+def test_auto_interfaces_matches_reference_on_gadgets_at_caps():
+    # every (men per side, tied men) stratum of 3 to 6 per side, on other
+    # seeds than above, at block caps of 4, 8 and 12
+    for n in range(3, 7):
+        for ties in range(n + 1):
+            seed = 1000 + 10 * n + ties
+            while True:
+                try:
+                    smti = gen_csmti(GenParams(n_agents=n, n_hospitals=n, n_ties=ties, seed=seed))
+                    break
+                except ValueError:  # the generator rejects some seeds
+                    seed += 100
+            inst, _ = reduce_stable(smti)
+            for cap in (4, 8, 12):
+                assert auto_interfaces(inst, cap) == _reference_auto_interfaces(inst, cap)
+
+
+def test_auto_interfaces_matches_reference_on_random_up_to_40x20():
+    rng = random.Random(72)
+    for i in range(40):
+        inst = gen_random(GenParams(
+            n_agents=rng.randint(13, 40), n_hospitals=rng.randint(3, 20),
+            density=rng.choice([0.1, 0.15, 0.2, 0.3]), seed=7200 + i,
+        ))
+        for cap in (4, 8, 12):
+            assert auto_interfaces(inst, cap) == _reference_auto_interfaces(inst, cap)
+
+
+def test_auto_interfaces_three_cut_after_witnesses(monkeypatch):
+    # a path: agent i lists h_i and h_(i+1). At a cap of 6 no single cut
+    # (12 agents left) or pair (8) is enough; cutting h6, h12 and h18 leaves
+    # four blocks of 6, and no other triple does. Pair cuts that leave more
+    # than 12 agents together stop early and leave witnesses, so the winning
+    # triple is scored only after they are learned
+    inst = HrsInstance.build(
+        [(f"a{i}", 1, [f"h{i}", f"h{i + 1}"]) for i in range(24)],
+        [(f"h{j}", 2, [f"a{i}" for i in (j - 1, j) if 0 <= i < 24]) for j in range(25)],
+    )
+    results = []
+    split = oracle._split
+
+    def recording(*args):
+        results.append(split(*args))
+        return results[-1]
+
+    monkeypatch.setattr(oracle, "_split", recording)
+    assert auto_interfaces(inst, 6) == [6, 12, 18] == _reference_auto_interfaces(inst, 6)
+    witnesses = [i for i, r in enumerate(results) if isinstance(r, tuple)]
+    winning = next(
+        i for i, r in enumerate(results) if isinstance(r, list) and max(n for _, n in r) == 6
+    )
+    assert witnesses and witnesses[0] < winning
