@@ -14,12 +14,16 @@ value found. Every bound in the budget (node count, wall clock, solution cap)
 aborts the sweep with an explicit ``budget_exhausted`` verdict.
 
 The ``decompose`` strategy for the stable-matching query splits the instance
-into blocks that touch each other only through interface hospitals. It
-enumerates every feasible resident set of each interface hospital; given one
-combined state the blocks are independent, and each is one ``_search`` over
-the agents the state leaves free, with the state's residents fixed from the
-start. The per-block solutions are multiplied out; distinct states yield
-distinct matchings, so the union over states is exact.
+into blocks that touch each other only through interface hospitals. It sweeps
+over every feasible resident set (state) of each interface hospital in turn.
+A block depends only on the states of the interface hospitals its agents
+list, and it is one ``_search`` over the agents those states leave free, with
+their residents fixed from the start. The sweep solves a block as soon as the
+last of these hospitals has a state, and cuts that state when the block has
+no solution, before any later hospital is placed; a block that lists no
+interface hospital is solved once. The block solutions of each full
+combination of states are multiplied out; distinct states yield distinct
+matchings, so the union over states is exact.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ EXHAUSTED = "budget_exhausted"
 PLAIN = "plain"
 DECOMPOSE = "decompose"
 
-_CloseTest = Callable[[list[int], list[int]], bool]  # (assign, occ) -> blocks?
+_ZEROS = itertools.repeat(0)  # map(d.get, keys, _ZEROS) reads 0 for a missing key
 
 
 class BudgetExhausted(HrsError):
@@ -118,35 +122,36 @@ def _search(
     ticker: _Ticker,
     perfect: bool = False,
     floor: list[int] | None = None,
-    close: Sequence[Sequence[_CloseTest]] | None = None,
+    close: Sequence[Sequence[tuple[int, int | None]]] | None = None,
+    blocks: Callable[..., bool] | None = None,
     order: Sequence[int] | None = None,
     assign: list[int] | None = None,
+    occ: list[int] | None = None,
 ) -> Iterator[tuple[list[int], int]]:
     """Depth-first sweep over feasible assignments, in canonical order: the
     agents of ``order`` (default: all, by index), each first to every
     hospital of ``prefs[a]`` with room, in list order, then to nothing
     (skipped when ``perfect``). The others keep their hospital in the starting
-    ``assign`` (default: nobody matched). Yields the live ``(assign, size
-    placed)`` at each leaf; the caller copies what it keeps. Each descent
-    ticks once.
+    ``assign``, whose occupancies ``occ`` holds (both or neither; default:
+    nobody matched); a sweep that runs to its end leaves both as it found
+    them. Yields the live ``(assign, size placed)`` at each leaf; the caller
+    copies what it keeps. Each descent ticks once.
 
     Once the first k agents are placed, and before the k-th descent ticks,
-    each ``test(assign, occ)`` of ``close[k]`` asks whether a pair that has
-    just become final blocks; True cuts the branch (for k = 0, everything).
-    A branch is also cut when its placed size plus the sizes of all later
-    agents with a nonempty list is at most ``floor[0]``, which the caller may
-    raise between leaves. The stack is explicit, so the agent count is not
-    bounded by the recursion limit."""
+    ``blocks(assign, occ, h, agent)`` runs on each (h, agent) of ``close[k]``
+    and asks whether a pair that has just become final blocks; True cuts the
+    branch (for k = 0, everything). A branch is also cut when its placed size
+    plus the sizes of all later agents with a nonempty list is at most
+    ``floor[0]``, which the caller may raise between leaves. The stack is
+    explicit, so the agent count is not bounded by the recursion limit."""
     order = range(len(sizes)) if order is None else order
     n = len(order)
     floor = floor if floor is not None else [-1]
-    assign = [UNMATCHED] * len(sizes) if assign is None else assign
-    occ = [0] * len(caps)
-    for b, h in enumerate(assign):
-        if h != UNMATCHED:
-            occ[h] += sizes[b]
+    if assign is None:
+        assign, occ = [UNMATCHED] * len(sizes), [0] * len(caps)
     close = close or [()] * (n + 1)
-    if any(test(assign, occ) for test in close[0]):
+    test = partial(blocks, assign, occ) if blocks else None
+    if any(test(h, b) for h, b in close[0]):
         return
     sizes_at = [sizes[b] for b in order]
     options_at = [prefs[b] for b in order]
@@ -195,8 +200,8 @@ def _search(
                 continue
             i += 1  # the unmatched branch
         choice[p] = i
-        for test in close[p + 1]:
-            if test(assign, occ):
+        for hospital, agent in close[p + 1]:
+            if test(hospital, agent):
                 break  # the next pass takes this branch back and tries the next
         else:
             tick()
@@ -206,30 +211,25 @@ def _search(
 
 def _closer(
     inst: HrsInstance,
-    kind: str,
     order: Sequence[int],
     hospitals: Iterable[int],
     fixed_pairs: Iterable[tuple[int, int]] = (),
-) -> list[list[_CloseTest]]:
-    """The close checks of a ``_search`` over ``order``: the k-th list tests,
-    under ``kind``, the pairs final once the first k agents are placed. A
-    pair (b, h) is final once b and every agent that may still be placed at h
-    are placed; agents outside ``order`` count as placed from the start. Any
-    agent listing one of ``hospitals`` may be placed there, so its pairs are
-    final at its last listing agent: one ``verify._hospital_blocks`` test.
-    ``fixed_pairs`` have hospitals with fixed residents: final with b."""
-    placed = [0] * inst.n_agents
-    for k, b in enumerate(order, 1):
-        placed[b] = k
-    mask = verify._eviction_mask(inst.sizes, kind)
-    final: list[list[_CloseTest]] = [[] for _ in range(len(order) + 1)]
+) -> list[list[tuple[int, int | None]]]:
+    """The close checks of a ``_search`` over ``order``: the k-th list holds
+    the (hospital, agent) tests of the pairs final once the first k agents
+    are placed. A pair (b, h) is final once b and every agent that may still
+    be placed at h are placed; agents outside ``order`` count as placed from
+    the start. Any agent listing one of ``hospitals`` may be placed there, so
+    its pairs are final at its last listing agent: one test (h, None).
+    ``fixed_pairs`` (b, h) have hospitals with fixed residents: (h, b) at b."""
+    placed = dict(zip(order, itertools.count(1)))
+    final: list[list[tuple[int, int | None]]] = [[] for _ in range(len(order) + 1)]
     for h in hospitals:
         listed = inst.hospital_prefs[h]
         if listed:
-            last = max(map(placed.__getitem__, listed))
-            final[last].append(partial(verify._hospital_blocks, inst, h, None, mask))
+            final[max(map(placed.get, listed, _ZEROS))].append((h, None))
     for b, h in fixed_pairs:
-        final[placed[b]].append(partial(verify._hospital_blocks, inst, h, b, mask))
+        final[placed.get(b, 0)].append((h, b))
     return final
 
 
@@ -254,8 +254,9 @@ def _stable_leaves(
 ) -> Iterator[tuple[list[int], int]]:
     """The plain search with the close check of ``kind``: it cuts every
     branch with a blocking pair, so each leaf is a matching with none."""
-    close = _closer(inst, kind, range(inst.n_agents), range(inst.n_hospitals))
-    return _search(inst.sizes, inst.caps, inst.agent_prefs, ticker, perfect, floor, close)
+    close = _closer(inst, range(inst.n_agents), range(inst.n_hospitals))
+    test = partial(verify._hospital_blocks, inst, verify._eviction_mask(inst.sizes, kind))
+    return _search(inst.sizes, inst.caps, inst.agent_prefs, ticker, perfect, floor, close, test)
 
 
 def _all_unblocked(inst: HrsInstance, budget: SearchBudget, kind: str) -> OracleResult:
@@ -553,81 +554,94 @@ def _stable_decomposed(
 ) -> OracleResult:
     ticker = _Ticker(budget)
     iface_list = sorted(set(interfaces)) if interfaces is not None else auto_interfaces(inst)
-    iface_set = set(iface_list)
-    blocks = _components(inst, iface_set)
-    states = {h: _interface_states(inst, h) for h in iface_list}
-    # the interface hospitals on some list of the block's agents
-    relevant = [
-        sorted({h for a in agents for h in inst.agent_prefs[a] if h in iface_set})
-        for agents, _ in blocks
-    ]
+    # depth[h]: how many interface hospitals have a state once h has one
+    depth = {h: i for i, h in enumerate(iface_list, 1)}
+    blocks = _components(inst, set(depth))
+    states = [_interface_states(inst, h) for h in iface_list]
+    prefs = inst.agent_prefs
     # an agent outside every interface state stays in its block
-    options = [tuple(h for h in prefs if h not in iface_set) for prefs in inst.agent_prefs]
+    options = [tuple(h for h in hs if h not in depth) for hs in prefs]
+    test = partial(verify._hospital_blocks, inst, verify._eviction_mask(inst.sizes, verify.CLASSIC))
+    # per block: its agents' pairs with interface hospitals, and those hospitals
+    iface_pairs = [[(a, h) for a in agents for h in prefs[a] if h in depth] for agents, _ in blocks]
+    relevant = [sorted({h for _, h in pairs}) for pairs in iface_pairs]
+    # due[i]: the blocks whose last interface hospital is the i-th placed
+    due: list[list[int]] = [[] for _ in range(len(iface_list) + 1)]
+    for bi, hs in enumerate(relevant):
+        due[max((depth[h] for h in hs), default=0)].append(bi)
+    # the placed states' residents; every other agent is unmatched between
+    # block searches, which restore assign and occ when run to their end
+    assign = [UNMATCHED] * inst.n_agents
+    occ = [0] * inst.n_hospitals
+    state: dict[int, tuple[int, ...]] = {}
     memo: dict[tuple, list[tuple[int, ...]]] = {}
+    chosen: list[list[tuple[int, ...]]] = [[] for _ in blocks]  # per block, under the state
     found: list[Matching] = []
 
-    def solve_block(bi: int, state: dict[int, tuple[int, ...]]) -> list[tuple[int, ...]]:
-        # the block agents' assignments that fit the state and leave none of them blocking
-        key = (bi,) + tuple((h, state[h]) for h in relevant[bi])
-        if key not in memo:
-            agents, hospitals = blocks[bi]
-            start = [UNMATCHED] * inst.n_agents
-            for h in relevant[bi]:
-                for a in state[h]:
-                    start[a] = h
-            free = [a for a in agents if start[a] == UNMATCHED]
-            iface_pairs = [(a, h) for a in agents for h in inst.agent_prefs[a] if h in iface_set]
-            close = _closer(inst, verify.CLASSIC, free, hospitals, iface_pairs)
-            memo[key] = [
-                tuple(assign[a] for a in agents)
-                for assign, _ in _search(
-                    inst.sizes, inst.caps, options, ticker, close=close, order=free, assign=start
-                )
-            ]
-        return memo[key]
-
-    def emit(state: dict[int, tuple[int, ...]]) -> None:
-        per_block = []
-        for bi in range(len(blocks)):
-            sols = solve_block(bi, state)
+    def solve(i: int) -> bool:
+        # the due blocks' assignments that fit the state and leave none of
+        # their agents blocking; False as soon as a block has none
+        for bi in due[i]:
+            key = (bi,) + tuple(state[h] for h in relevant[bi])
+            sols = memo.get(key)
+            if sols is None:
+                agents, hospitals = blocks[bi]
+                free = [a for a in agents if assign[a] == UNMATCHED]
+                close = _closer(inst, free, hospitals, iface_pairs[bi])
+                sols = memo[key] = [
+                    tuple(leaf[a] for a in agents)
+                    for leaf, _ in _search(
+                        inst.sizes, inst.caps, options, ticker, close=close, blocks=test,
+                        order=free, assign=assign, occ=occ,
+                    )
+                ]
             if not sols:
-                return
-            per_block.append(sols)
+                return False
+            chosen[bi] = sols
+        return True
 
-        # the blocks cover every agent, so each combination rewrites all of assign
-        assign = [UNMATCHED] * inst.n_agents
-        for combo in itertools.product(*per_block):
+    def emit() -> None:
+        # the blocks cover every agent, so each combination rewrites all of out
+        out = [UNMATCHED] * inst.n_agents
+        for combo in itertools.product(*chosen):
             for (agents, _), sol in zip(blocks, combo):
                 for a, h in zip(agents, sol):
-                    assign[a] = h
-            found.append(Matching(assign))
+                    out[a] = h
+            found.append(Matching(out))
             if budget.max_solutions is not None and len(found) >= budget.max_solutions:
                 raise _SolutionCap
 
     def sweep() -> None:
-        # every combination of disjoint states, one state iterator per placed hospital
-        state: dict[int, tuple[int, ...]] = {}
-        claimed: set[int] = set()
-        if not iface_list:
-            emit(state)
+        # every combination of disjoint states, one state iterator per placed
+        # hospital; a state that leaves a due block without a solution is cut
+        if not solve(0):
             return
-        stack = [iter(states[iface_list[0]])]
+        if not iface_list:
+            emit()
+            return
+        stack = [iter(states[0])]
         while stack:
-            i = len(stack) - 1
-            h = iface_list[i]
+            i = len(stack)
+            h = iface_list[i - 1]
             if h in state:  # back from h's previous state
-                claimed.difference_update(state.pop(h))
-            st = next((st for st in stack[i] if claimed.isdisjoint(st)), None)
+                for a in state.pop(h):
+                    assign[a] = UNMATCHED
+                occ[h] = 0
+            st = next((st for st in stack[-1] if all(assign[a] == UNMATCHED for a in st)), None)
             if st is None:
                 stack.pop()
                 continue
             ticker.tick()
             state[h] = st
-            claimed.update(st)
-            if i + 1 == len(iface_list):
-                emit(state)
+            for a in st:
+                assign[a] = h
+                occ[h] += inst.sizes[a]
+            if not solve(i):
+                continue
+            if i == len(iface_list):
+                emit()
             else:
-                stack.append(iter(states[iface_list[i + 1]]))
+                stack.append(iter(states[i]))
 
     try:
         sweep()

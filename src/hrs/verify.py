@@ -216,8 +216,8 @@ def _scan_pairs(
 
 
 def _hospital_blocks(
-    inst: HrsInstance, h: int, agent: int | None, mask: int | None,
-    assign: Sequence[int], occ: Sequence[int],
+    inst: HrsInstance, mask: int | None, assign: Sequence[int], occ: Sequence[int],
+    h: int, agent: int | None,
 ) -> bool:
     """Whether some agent on h's list (only ``agent``, when given) blocks with
     h: the oracle's close check, once every agent that could still be placed

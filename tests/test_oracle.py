@@ -401,10 +401,27 @@ def test_decompose_equals_plain_on_random():
         plain = sorted(stable_matchings(inst).matchings, key=lambda m: m.assign)
         narrow = [h for h in range(inst.n_hospitals) if len(inst.hospital_prefs[h]) <= 16]
         pinned = sorted(h for h in narrow if rng.random() < 0.5)
-        for interfaces in (None, [], pinned):
+        for interfaces in (None, [], pinned, narrow[::2]):
             dec = stable_matchings(inst, strategy="decompose", interfaces=interfaces)
             assert dec.complete
             assert dec.matchings == plain
+
+
+def test_decompose_every_other_interface_on_gadgets():
+    # every other hospital as an interface splits a gadget into many small
+    # blocks; a sweep that solved them only once every interface state is
+    # placed took 100k nodes and more here, cutting a dead state at once a
+    # few thousand at most
+    for ties in range(4):
+        for seed in (30 + ties, 130 + ties):
+            smti = gen_csmti(GenParams(n_agents=3, n_hospitals=3, n_ties=ties, seed=seed))
+            inst, _ = reduce_stable(smti)
+            interfaces = range(0, inst.n_hospitals, 2)
+            budget = SearchBudget(max_nodes=50_000)
+            dec = stable_matchings(inst, budget, strategy="decompose", interfaces=interfaces)
+            plain = stable_matchings(inst)
+            assert dec.complete and plain.complete
+            assert dec.matchings == sorted(plain.matchings, key=lambda m: m.assign)
 
 
 def _chain(n):
@@ -415,17 +432,17 @@ def _chain(n):
     return HrsInstance.build(agents, hospitals)
 
 
-@pytest.mark.parametrize("interfaces, count", [
-    (range(1501), 0),
-    ([], 1),
-], ids=["every-hospital", "none"])
-def test_decompose_long_chain_without_recursion(interfaces, count):
-    # 1,501 interface hospitals to sweep, or one block of 1,500 agents; the
-    # node bound keeps the every-hospital sweep short, far past 1,000 levels
+@pytest.mark.parametrize("interfaces", [range(1501), []], ids=["every-hospital", "none"])
+def test_decompose_long_chain_without_recursion(interfaces):
+    # 1,501 interface hospitals to sweep, far past 1,000 levels, or one block
+    # of 1,500 agents. Each agent is a block solved once its second hospital
+    # has a state, so a state that leaves an agent blocking is cut at once and
+    # the first stable matching comes within a few nodes per agent.
     inst = _chain(1500)
     budget = SearchBudget(max_solutions=1, max_nodes=20_000)
     res = stable_matchings(inst, budget, strategy="decompose", interfaces=interfaces)
-    assert res.verdict == EXHAUSTED and len(res.matchings) == count
+    assert res.verdict == EXHAUSTED and len(res.matchings) == 1
+    assert res.nodes <= 10_000
     assert all(is_stable(inst, m) for m in res.matchings)
 
 
