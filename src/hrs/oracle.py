@@ -13,21 +13,21 @@ matched size plus the sizes of all agents still to come cannot beat the best
 value found. Every bound in the budget (node count, wall clock, solution cap)
 aborts the sweep with an explicit ``budget_exhausted`` verdict.
 
-The ``decompose`` strategy for the stable-matching query splits the instance
-into blocks that touch each other only through interface hospitals. It sweeps
-over every feasible resident set (state) of each interface hospital in turn.
-A block depends only on the states of the interface hospitals its agents
-list, and it is one ``_search`` over the agents those states leave free, with
-their residents fixed from the start. The sweep solves a block as soon as the
-last of these hospitals has a state, and cuts that state when the block has
-no solution, before any later hospital is placed; a block that lists no
-interface hospital is solved once. The block solutions of each full
-combination of states are multiplied out; distinct states yield distinct
-matchings, so the union over states is exact.
+The plain search places agents by index. The ``decompose`` strategy for the
+stable-matching query searches each connected component of the instance
+alone, and places its agents in a closing order (``_closing_order``): next
+is the agent that closes the most hospitals, so their pairs become final
+early. Classic stability also makes a pair (b, h) final as soon as b and the
+agents h ranks above b are placed, and decompose tests it there. The stable
+matchings are the product of the components' stable assignments, and a
+component with none settles the query at once. There is no interface
+choice: ``interfaces=`` is accepted and ignored, and ``auto_interfaces``
+returns ``[]``.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from dataclasses import dataclass
@@ -210,26 +210,29 @@ def _search(
 
 
 def _closer(
-    inst: HrsInstance,
-    order: Sequence[int],
-    hospitals: Iterable[int],
-    fixed_pairs: Iterable[tuple[int, int]] = (),
+    inst: HrsInstance, order: Sequence[int], hospitals: Iterable[int], ranked: bool = False
 ) -> list[list[tuple[int, int | None]]]:
     """The close checks of a ``_search`` over ``order``: the k-th list holds
     the (hospital, agent) tests of the pairs final once the first k agents
-    are placed. A pair (b, h) is final once b and every agent that may still
-    be placed at h are placed; agents outside ``order`` count as placed from
-    the start. Any agent listing one of ``hospitals`` may be placed there, so
-    its pairs are final at its last listing agent: one test (h, None).
-    ``fixed_pairs`` (b, h) have hospitals with fixed residents: (h, b) at b."""
+    are placed. Agents outside ``order`` count as placed from the start. A
+    hospital's pairs are all final at its last listing agent: one test
+    (h, None). With ``ranked`` (classic stability only), a pair (b, h) is
+    also final once b and every agent h ranks above b are placed: whether it
+    blocks depends on b's hospital and h's residents above b alone, since a
+    resident below b adds as much to what evicting can free as it takes from
+    h's room. It is tested there, (h, b), when that comes earlier."""
     placed = dict(zip(order, itertools.count(1)))
     final: list[list[tuple[int, int | None]]] = [[] for _ in range(len(order) + 1)]
     for h in hospitals:
         listed = inst.hospital_prefs[h]
         if listed:
-            final[max(map(placed.get, listed, _ZEROS))].append((h, None))
-    for b, h in fixed_pairs:
-        final[placed.get(b, 0)].append((h, b))
+            last = max(map(placed.get, listed, _ZEROS))
+            if ranked:
+                for b, k in zip(listed, itertools.accumulate(map(placed.get, listed, _ZEROS), max)):
+                    if k == last:
+                        break
+                    final[k].append((h, b))
+            final[last].append((h, None))
     return final
 
 
@@ -280,12 +283,15 @@ def stable_matchings(
     strategy: str = PLAIN,
     interfaces: Sequence[int] | None = None,
 ) -> OracleResult:
-    """All stable matchings (canonical order). ``strategy=decompose`` answers
-    the same query block-wise; ``interfaces`` optionally pins the interface
-    hospitals instead of auto-detection."""
+    """All stable matchings, in canonical order. ``strategy=decompose``
+    answers the same query component by component; ``interfaces`` is
+    accepted and ignored. Under a ``max_solutions`` cap of k, decompose
+    returns k stable matchings in canonical order, but which k may differ
+    from the plain strategy's and from versions before the component split:
+    the first k its search finds."""
     budget = budget or SearchBudget()
     if strategy == DECOMPOSE:
-        return _stable_decomposed(inst, budget, interfaces)
+        return _stable_decomposed(inst, budget)
     if strategy != PLAIN:
         raise ValueError(f"unknown strategy {strategy!r}")
     return _all_unblocked(inst, budget, verify.CLASSIC)
@@ -360,11 +366,10 @@ def smti_complete_stable(smti: SmtiInstance) -> SmtiMatching | None:
 # --- decomposition strategy ---------------------------------------------------
 
 
-def _components(
-    inst: HrsInstance, removed: set[int]
-) -> list[tuple[list[int], list[int]]]:
-    """Connected components (agents, hospitals) after deleting the removed
-    hospitals; every vertex appears in exactly one component."""
+def _components(inst: HrsInstance) -> list[tuple[list[int], list[int]]]:
+    """The connected components (agents, hospitals) of the instance, each
+    side sorted; every agent is in exactly one, a hospital no agent lists in
+    none."""
     n_a, n_h = inst.n_agents, inst.n_hospitals
     seen_a = [False] * n_a
     seen_h = [False] * n_h
@@ -376,7 +381,7 @@ def _components(
         agents, hospitals, stack = [start], [], [start]
         while stack:
             for h in inst.agent_prefs[stack.pop()]:
-                if h not in removed and not seen_h[h]:
+                if not seen_h[h]:
                     seen_h[h] = True
                     hospitals.append(h)
                     for a in inst.hospital_prefs[h]:
@@ -385,268 +390,87 @@ def _components(
                             agents.append(a)
                             stack.append(a)
         comps.append((sorted(agents), sorted(hospitals)))
-    for h in range(n_h):
-        if not seen_h[h] and h not in removed:
-            comps.append(([], [h]))
     return comps
 
 
-def _split(
-    parts: list[tuple[int, int]], h: int, neighbours: list[int], agent_bits: list[int],
-    limit: int | None = None,
-) -> list[tuple[int, int]] | tuple[int, int]:
-    """The parts (hospital bitset, agent count) of a block once hospital h is
-    cut as well: only the part holding h changes, into the components of its
-    other hospitals, found by a BFS over hospital bitsets. As soon as the
-    hospitals grown so far for a new part hold more than ``limit`` agents,
-    returns instead that witness: those connected hospitals and their agent
-    count, as one (hospital bitset, agent count) pair."""
-    bit = 1 << h
-    out = []
-    for part in parts:
-        if not part[0] & bit:
-            out.append(part)
+def _closing_order(inst: HrsInstance) -> list[int]:
+    """Every agent, in a closing order: next is the agent that closes the most
+    hospitals (it is the last unplaced agent on their lists), ties going to
+    the one that opens the fewest (hospitals no placed agent lists), then to
+    the lowest index. Placing an agent only raises the closes and lowers the
+    opens of others, so their keys only fall, and a heap that skips stale
+    keys builds the order in O(E log E). An agent's key depends only on its
+    own component, so the order restricted to a component is that
+    component's closing order."""
+    prefs, lists = inst.agent_prefs, inst.hospital_prefs
+    left = [len(listed) for listed in lists]  # each list's unplaced agents
+    closes = [sum(left[h] == 1 for h in hs) for hs in prefs]
+    opens = [len(hs) for hs in prefs]
+    heap = [(-c, o, a) for a, (c, o) in enumerate(zip(closes, opens))]
+    heapq.heapify(heap)
+    done = [False] * inst.n_agents
+    order = []
+    while heap:
+        c, o, a = heapq.heappop(heap)
+        if done[a] or -c != closes[a] or o != opens[a]:
             continue
-        left = part[0] ^ bit
-        while left:
-            comp = frontier = left & -left
-            agents = grown = 0
-            while frontier:
-                grow = 0
-                while frontier:
-                    low = frontier & -frontier
-                    i = low.bit_length() - 1
-                    grow |= neighbours[i]
-                    agents |= agent_bits[i]
-                    grown |= low
-                    frontier ^= low
-                    if limit is not None and agents.bit_count() > limit:
-                        return grown, agents.bit_count()
-                frontier = grow & left & ~comp
-                comp |= frontier
-            out.append((comp, agents.bit_count()))
-            left ^= comp
-    return out
+        done[a] = True
+        order.append(a)
+        for h in prefs[a]:
+            left[h] -= 1
+            closed = left[h] == 1  # one agent left: placing it closes h
+            opened = left[h] + 1 == len(lists[h])  # a is the first placed
+            if closed or opened:
+                for b in lists[h]:
+                    if not done[b]:
+                        closes[b] += closed
+                        opens[b] -= opened
+                        heapq.heappush(heap, (-closes[b], opens[b], b))
+    return order
 
 
 def auto_interfaces(inst: HrsInstance, max_block_agents: int = 12) -> list[int]:
-    """Greedy interface choice: while some block holds more agents than the
-    cap, remove the hospital set (up to three at a time) that most shrinks the
-    largest block, ties going to the smallest sorted set. Any choice is sound;
-    this one keeps the state product small on gadget-chain instances.
-
-    Cost: cutting hospitals of the largest block leaves every other block as
-    it is, so each round finds the blocks once and then scores cuts on the
-    largest block alone. Each hospital keeps its neighbouring hospitals (those
-    sharing an agent) and its agents as int bitsets. A cut's parts, as
-    (hospital bitset, agent count) pairs, come from the parts of the cut one
-    hospital smaller by splitting only the part that holds the newly cut
-    hospital. Single cuts are split in full and set the best key. Pair and
-    triple cuts are only scored: a split stops as soon as the hospitals it has
-    grown for one part hold more agents than the best count, and those
-    connected hospitals are a witness. The best key only falls during a
-    round, so the witness stays valid until the round ends: a cut that misses
-    all of its hospitals leaves it inside one block and cannot win. Each
-    candidate keeps a bitset of the witnesses that hold it, and a cut is
-    split only when its candidates' bitsets cover every witness. A pair's
-    parts are split, and kept for the round, only when a triple that extends
-    it passes this test. An agent whose hospitals are all cut is a block of
-    one."""
-    agent_bits = [0] * inst.n_hospitals
-    neighbours = [0] * inst.n_hospitals
-    for a, hs in enumerate(inst.agent_prefs):
-        mask = sum(1 << h for h in hs)
-        for h in hs:
-            agent_bits[h] |= 1 << a
-            neighbours[h] |= mask
-    interfaces: set[int] = set()
-    while True:
-        comps = _components(inst, interfaces)
-        counts = [len(ags) for ags, _ in comps]
-        worst = max(counts, default=0)
-        if worst <= max_block_agents:
-            break
-        big = counts.index(worst)
-        others = max(counts[:big] + counts[big + 1:], default=0)
-        if others >= worst:
-            break  # an equally large block stays whole under any cut
-        big_hospitals = comps[big][1]
-        candidates = [h for h in big_hospitals if len(inst.hospital_prefs[h]) >= 2]
-        candidates.sort(key=lambda h: -len(inst.hospital_prefs[h]))
-        candidates = candidates[:24]
-        whole = [(sum(1 << h for h in big_hospitals), worst)]
-        singles = [_split(whole, h, neighbours, agent_bits) for h in candidates]
-        best = min(
-            ((max(others, max((n for _, n in parts), default=1)), (h,))
-             for h, parts in zip(candidates, singles)),
-            default=None,
-        )
-        cover = [0] * len(candidates)  # per candidate, the witnesses holding it
-        hit = 0  # every witness so far
-
-        def score(parts: list[tuple[int, int]], h: int, subset: tuple[int, ...]):
-            """Split parts by h unless the cut cannot beat the best key; keep
-            its key if it does, and learn the witness if the split stops."""
-            nonlocal best, hit
-            limit = best[0] if subset < best[1] else best[0] - 1
-            if others > limit or any(n > limit for m, n in parts if not m >> h & 1):
-                return None
-            # stopping above the best count, not above limit, keeps every
-            # witness valid for the rest of the round
-            split = _split(parts, h, neighbours, agent_bits, best[0])
-            if type(split) is tuple:
-                bit = hit + 1
-                hit |= bit
-                for k, c in enumerate(candidates):
-                    if split[0] >> c & 1:
-                        cover[k] |= bit
-                return None
-            key = (max(others, max((n for _, n in split), default=1)), subset)
-            if key < best:
-                best = key
-            return split
-
-        pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        if best is not None and best[0] > max_block_agents:
-            for i, j in itertools.combinations(range(len(candidates)), 2):
-                if cover[i] | cover[j] == hit:
-                    hi, hj = candidates[i], candidates[j]
-                    split = score(singles[i], hj, (hi, hj) if hi < hj else (hj, hi))
-                    if split is not None:
-                        pairs[i, j] = split
-        if best is not None and best[0] > max_block_agents:
-            for i, j, k in itertools.combinations(range(len(candidates)), 3):
-                if cover[i] | cover[j] | cover[k] != hit:
-                    continue
-                parts = pairs.get((i, j))
-                if parts is None:
-                    parts = pairs[i, j] = _split(singles[i], candidates[j], neighbours, agent_bits)
-                score(parts, candidates[k], tuple(sorted((candidates[i], candidates[j], candidates[k]))))
-        if best is None or best[0] >= worst:
-            break  # no hospital set helps; give up splitting further
-        interfaces.update(best[1])
-    return sorted(interfaces)
+    """Always ``[]``. Kept for callers of the retired interface sweep:
+    ``stable_matchings`` accepts ``interfaces=`` and ignores it."""
+    return []
 
 
-def _interface_states(inst: HrsInstance, h: int) -> list[tuple[int, ...]]:
-    """Every subset of the agents that h lists whose sizes fit its capacity,
-    the empty set first; these are the possible resident sets of h."""
-    neighbors = sorted(inst.hospital_prefs[h])
-    if len(neighbors) > 16:
-        raise ValueError(
-            f"interface hospital {inst.hospital_labels[h]} lists {len(neighbors)} "
-            "agents; too wide to enumerate"
-        )
-    sizes, cap = inst.sizes, inst.caps[h]
-    # combinations of a sorted list come sorted within each size
-    return [
-        members
-        for r in range(len(neighbors) + 1)
-        for members in itertools.combinations(neighbors, r)
-        if sum(sizes[a] for a in members) <= cap
-    ]
-
-
-def _stable_decomposed(
-    inst: HrsInstance,
-    budget: SearchBudget,
-    interfaces: Sequence[int] | None,
-) -> OracleResult:
+def _stable_decomposed(inst: HrsInstance, budget: SearchBudget) -> OracleResult:
+    """The stable matchings as the product of each connected component's,
+    each component searched alone in closing order with ranked close checks.
+    A component with no stable assignment settles the query at once."""
     ticker = _Ticker(budget)
-    iface_list = sorted(set(interfaces)) if interfaces is not None else auto_interfaces(inst)
-    # depth[h]: how many interface hospitals have a state once h has one
-    depth = {h: i for i, h in enumerate(iface_list, 1)}
-    blocks = _components(inst, set(depth))
-    states = [_interface_states(inst, h) for h in iface_list]
-    prefs = inst.agent_prefs
-    # an agent outside every interface state stays in its block
-    options = [tuple(h for h in hs if h not in depth) for hs in prefs]
+    # a component with this many solutions lets the product reach the cap
+    limit = None if budget.max_solutions is None else max(budget.max_solutions, 1)
     test = partial(verify._hospital_blocks, inst, verify._eviction_mask(inst.sizes, verify.CLASSIC))
-    # per block: its agents' pairs with interface hospitals, and those hospitals
-    iface_pairs = [[(a, h) for a in agents for h in prefs[a] if h in depth] for agents, _ in blocks]
-    relevant = [sorted({h for _, h in pairs}) for pairs in iface_pairs]
-    # due[i]: the blocks whose last interface hospital is the i-th placed
-    due: list[list[int]] = [[] for _ in range(len(iface_list) + 1)]
-    for bi, hs in enumerate(relevant):
-        due[max((depth[h] for h in hs), default=0)].append(bi)
-    # the placed states' residents; every other agent is unmatched between
-    # block searches, which restore assign and occ when run to their end
-    assign = [UNMATCHED] * inst.n_agents
-    occ = [0] * inst.n_hospitals
-    state: dict[int, tuple[int, ...]] = {}
-    memo: dict[tuple, list[tuple[int, ...]]] = {}
-    chosen: list[list[tuple[int, ...]]] = [[] for _ in blocks]  # per block, under the state
-    found: list[Matching] = []
-
-    def solve(i: int) -> bool:
-        # the due blocks' assignments that fit the state and leave none of
-        # their agents blocking; False as soon as a block has none
-        for bi in due[i]:
-            key = (bi,) + tuple(state[h] for h in relevant[bi])
-            sols = memo.get(key)
-            if sols is None:
-                agents, hospitals = blocks[bi]
-                free = [a for a in agents if assign[a] == UNMATCHED]
-                close = _closer(inst, free, hospitals, iface_pairs[bi])
-                sols = memo[key] = [
-                    tuple(leaf[a] for a in agents)
-                    for leaf, _ in _search(
-                        inst.sizes, inst.caps, options, ticker, close=close, blocks=test,
-                        order=free, assign=assign, occ=occ,
-                    )
-                ]
-            if not sols:
-                return False
-            chosen[bi] = sols
-        return True
-
-    def emit() -> None:
-        # the blocks cover every agent, so each combination rewrites all of out
-        out = [UNMATCHED] * inst.n_agents
-        for combo in itertools.product(*chosen):
-            for (agents, _), sol in zip(blocks, combo):
-                for a, h in zip(agents, sol):
-                    out[a] = h
-            found.append(Matching(out))
-            if budget.max_solutions is not None and len(found) >= budget.max_solutions:
-                raise _SolutionCap
-
-    def sweep() -> None:
-        # every combination of disjoint states, one state iterator per placed
-        # hospital; a state that leaves a due block without a solution is cut
-        if not solve(0):
-            return
-        if not iface_list:
-            emit()
-            return
-        stack = [iter(states[0])]
-        while stack:
-            i = len(stack)
-            h = iface_list[i - 1]
-            if h in state:  # back from h's previous state
-                for a in state.pop(h):
-                    assign[a] = UNMATCHED
-                occ[h] = 0
-            st = next((st for st in stack[-1] if all(assign[a] == UNMATCHED for a in st)), None)
-            if st is None:
-                stack.pop()
-                continue
-            ticker.tick()
-            state[h] = st
-            for a in st:
-                assign[a] = h
-                occ[h] += inst.sizes[a]
-            if not solve(i):
-                continue
-            if i == len(iface_list):
-                emit()
-            else:
-                stack.append(iter(states[i]))
-
+    position = [0] * inst.n_agents
+    for p, a in enumerate(_closing_order(inst)):
+        position[a] = p
+    # components share no agent or hospital, so their searches share one
+    # assign and occ, even where a search stopped at the cap leaves its own set
+    assign, occ = [UNMATCHED] * inst.n_agents, [0] * inst.n_hospitals
+    comps = _components(inst)
+    solutions: list[list[tuple[int, ...]]] = []
     try:
-        sweep()
-        verdict = COMPLETE
-    except (BudgetExhausted, _SolutionCap):
-        verdict = EXHAUSTED
+        for agents, hospitals in comps:
+            order = sorted(agents, key=position.__getitem__)
+            leaves = _search(
+                inst.sizes, inst.caps, inst.agent_prefs, ticker, close=_closer(inst, order, hospitals, True),
+                blocks=test, order=order, assign=assign, occ=occ,
+            )
+            sols = [tuple(leaf[a] for a in agents) for leaf, _ in itertools.islice(leaves, limit)]
+            if not sols:
+                return OracleResult(COMPLETE, [], None, ticker.nodes)
+            solutions.append(sols)
+    except BudgetExhausted:
+        return OracleResult(EXHAUSTED, [], None, ticker.nodes)
+    found: list[Matching] = []
+    out = [UNMATCHED] * inst.n_agents
+    for combo in itertools.islice(itertools.product(*solutions), limit):
+        for (agents, _), sol in zip(comps, combo):
+            for a, h in zip(agents, sol):
+                out[a] = h
+        found.append(Matching(out))
     found.sort(key=lambda m: m.assign)
-    return OracleResult(verdict, found, None, ticker.nodes)
+    capped = limit is not None and len(found) >= budget.max_solutions
+    return OracleResult(EXHAUSTED if capped else COMPLETE, found, None, ticker.nodes)

@@ -151,6 +151,25 @@ def test_oracle_env_budget(capsys, example_files, monkeypatch):
     assert code == 3
 
 
+def test_oracle_decompose_wide_hospital(capsys, tmp_path):
+    # a hospital listing 20 agents once made decompose exit 2
+    agents = [(f"a{i}", 1, ["hub", f"p{i}"]) for i in range(20)]
+    hospitals = [("hub", 3, [f"a{i}" for i in range(20)])]
+    hospitals += [(f"p{i}", 1, [f"a{i}"]) for i in range(20)]
+    path = tmp_path / "star.hrs"
+    path.write_text(serialize_instance(HrsInstance.build(agents, hospitals)))
+    answers = []
+    for strategy in ("plain", "decompose"):
+        code, out, err = run(capsys, "oracle", str(path), "--query", "stable", "--strategy", strategy)
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        answers.append((data["verdict"], data["count"], data["witness"]))
+    # one stable matching, so equal witnesses mean equal answers
+    assert answers[0] == answers[1]
+    verdict, count, witness = answers[0]
+    assert verdict == "complete" and count == 1 and witness is not None
+
+
 def test_oracle_decompose_guard(capsys, example_files):
     code, _, err = run(capsys, "oracle", example_files["no_stable"], "--query", "max-occ",
                        "--strategy", "decompose")

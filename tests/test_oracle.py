@@ -9,7 +9,6 @@ from hrs.oracle import (
     EXHAUSTED,
     BudgetExhausted,
     SearchBudget,
-    _components,
     auto_interfaces,
     enumerate_feasible,
     exists_a_perfect_occupancy_stable,
@@ -22,8 +21,7 @@ from hrs.reduce import SmtiInstance, is_complete, is_weakly_stable, reduce_stabl
 from hrs.solver import solve, solve_occupancy
 from hrs.partition import detect_generalized_master_list
 from hrs.verify import is_occupancy_stable, is_stable
-from hrs.harness import GenParams, gen_csmti, gen_master_list, gen_random
-from hrs import oracle
+from hrs.harness import GenParams, gen_csmti, gen_master_list, gen_random, no_stable_example
 
 from conftest import all_feasible_assignments, small_random_instances
 
@@ -396,6 +394,7 @@ def test_smti_unequal_sides():
 
 
 def test_decompose_equals_plain_on_random():
+    # interfaces are ignored: every choice must give the same answer
     rng = random.Random(53)
     for inst in small_random_instances(40, seed=53):
         plain = sorted(stable_matchings(inst).matchings, key=lambda m: m.assign)
@@ -408,10 +407,8 @@ def test_decompose_equals_plain_on_random():
 
 
 def test_decompose_every_other_interface_on_gadgets():
-    # every other hospital as an interface splits a gadget into many small
-    # blocks; a sweep that solved them only once every interface state is
-    # placed took 100k nodes and more here, cutting a dead state at once a
-    # few thousand at most
+    # the interfaces are ignored; the closing order alone answers these
+    # gadgets within a few thousand nodes
     for ties in range(4):
         for seed in (30 + ties, 130 + ties):
             smti = gen_csmti(GenParams(n_agents=3, n_hospitals=3, n_ties=ties, seed=seed))
@@ -434,10 +431,10 @@ def _chain(n):
 
 @pytest.mark.parametrize("interfaces", [range(1501), []], ids=["every-hospital", "none"])
 def test_decompose_long_chain_without_recursion(interfaces):
-    # 1,501 interface hospitals to sweep, far past 1,000 levels, or one block
-    # of 1,500 agents. Each agent is a block solved once its second hospital
-    # has a state, so a state that leaves an agent blocking is cut at once and
-    # the first stable matching comes within a few nodes per agent.
+    # one component of 1,500 agents, far past 1,000 levels, whatever the
+    # (ignored) interfaces. The closing order places the chain from one end,
+    # each agent closing one hospital, so the first stable matching comes
+    # within a few nodes per agent.
     inst = _chain(1500)
     budget = SearchBudget(max_solutions=1, max_nodes=20_000)
     res = stable_matchings(inst, budget, strategy="decompose", interfaces=interfaces)
@@ -462,8 +459,10 @@ def test_decompose_two_independent_blocks():
 
 
 def test_auto_interfaces_on_small_instance(no_stable_inst):
-    # already below the block cap: nothing to split
+    # a shim for callers of the retired interface sweep: always empty
     assert auto_interfaces(no_stable_inst) == []
+    smti = gen_csmti(GenParams(n_agents=6, n_hospitals=6, n_ties=2, seed=3))
+    assert auto_interfaces(reduce_stable(smti)[0]) == []
 
 
 def test_unknown_strategy(no_stable_inst):
@@ -471,39 +470,70 @@ def test_unknown_strategy(no_stable_inst):
         stable_matchings(no_stable_inst, strategy="magic")
 
 
-def _reference_auto_interfaces(inst, max_block_agents=12):
-    """The greedy interface choice evaluated the slow way: one full
-    component search per candidate cut."""
-    interfaces = set()
-    while True:
-        comps = _components(inst, interfaces)
-        worst = max((len(ags) for ags, _ in comps), default=0)
-        if worst <= max_block_agents:
-            break
-        _, big_hospitals = max(comps, key=lambda c: len(c[0]))
-        candidates = [h for h in big_hospitals if len(inst.hospital_prefs[h]) >= 2]
-        candidates.sort(key=lambda h: -len(inst.hospital_prefs[h]))
-        candidates = candidates[:24]
-        best = None
-        for r in (1, 2, 3):
-            for subset in itertools.combinations(candidates, r):
-                comps2 = _components(inst, interfaces | set(subset))
-                w = max((len(ags) for ags, _ in comps2), default=0)
-                key = (w, tuple(sorted(subset)))
-                if best is None or key < best:
-                    best = key
-            if best is not None and best[0] <= max_block_agents:
-                break
-        if best is None or best[0] >= worst:
-            break
-        interfaces.update(best[1])
-    return sorted(interfaces)
+def _union(*instances):
+    """The disjoint union of instances, labels tagged by their position."""
+    agents, hospitals = [], []
+    for i, inst in enumerate(instances):
+        a_label = [f"{label}_{i}" for label in inst.agent_labels]
+        h_label = [f"{label}_{i}" for label in inst.hospital_labels]
+        agents += [
+            (a_label[a], inst.sizes[a], [h_label[h] for h in inst.agent_prefs[a]])
+            for a in range(inst.n_agents)
+        ]
+        hospitals += [
+            (h_label[h], inst.caps[h], [a_label[a] for a in inst.hospital_prefs[h]])
+            for h in range(inst.n_hospitals)
+        ]
+    return HrsInstance.build(agents, hospitals)
 
 
-def test_auto_interfaces_matches_reference_on_gadgets():
+def _two_stable_market():
+    """A 2 x 2 market whose two perfect matchings are both stable."""
+    return HrsInstance.build(
+        [("a1", 1, ["h1", "h2"]), ("a2", 1, ["h2", "h1"])],
+        [("h1", 1, ["a2", "a1"]), ("h2", 1, ["a1", "a2"])],
+    )
+
+
+def test_decompose_stops_at_a_component_without_stable_matching():
+    # the plain search walks all 2^16 stable combinations of the markets
+    # (720,891 nodes) before it meets the last component; decompose settles
+    # each component alone and stops at the one with no stable matching
+    inst = _union(*[_two_stable_market()] * 16, no_stable_example())
+    res = stable_matchings(inst, strategy="decompose")
+    assert res.complete and res.matchings == []
+    assert res.nodes <= 200
+
+
+def test_decompose_solution_cap_on_independent_markets():
+    # four markets multiply out to 16 stable matchings; a cap of 5 keeps 5
+    inst = _union(*[_two_stable_market()] * 4)
+    everything = stable_matchings(inst, strategy="decompose")
+    assert everything.complete and len(everything.matchings) == 16
+    res = stable_matchings(inst, SearchBudget(max_solutions=5), strategy="decompose")
+    assert res.verdict == EXHAUSTED and len(res.matchings) == 5
+    assert len({m.assign for m in res.matchings}) == 5
+    assert all(is_stable(inst, m) for m in res.matchings)
+    assert res.matchings == sorted(res.matchings, key=lambda m: m.assign)
+
+
+@pytest.mark.parametrize("n", [10, 14, 20])
+def test_decompose_larger_gadgets_within_budget(n):
+    # the closing order closes the gadget's hospitals early; index order
+    # takes up to hundreds of thousands of nodes at 20 per side
+    for seed in range(3):
+        smti = gen_csmti(GenParams(n_agents=n, n_hospitals=n, n_ties=1, seed=seed))
+        inst, _ = reduce_stable(smti)
+        res = stable_matchings(inst, SearchBudget(max_nodes=20_000), strategy="decompose")
+        assert res.complete
+        assert all(is_stable(inst, m) for m in res.matchings)
+
+
+def test_decompose_equals_plain_on_every_gadget_stratum():
+    # every (men per side, tied men) stratum of the benchmark's gadgets
     for n in range(3, 7):
         for ties in range(n + 1):
-            seed = 10 * n + ties
+            seed = 2000 + 10 * n + ties
             while True:
                 try:
                     smti = gen_csmti(GenParams(n_agents=n, n_hospitals=n, n_ties=ties, seed=seed))
@@ -511,69 +541,39 @@ def test_auto_interfaces_matches_reference_on_gadgets():
                 except ValueError:  # the generator rejects some seeds
                     seed += 100
             inst, _ = reduce_stable(smti)
-            assert auto_interfaces(inst) == _reference_auto_interfaces(inst)
+            plain = stable_matchings(inst)
+            dec = stable_matchings(inst, strategy="decompose")
+            assert plain.complete and dec.complete
+            assert dec.matchings == sorted(plain.matchings, key=lambda m: m.assign)
 
 
-def test_auto_interfaces_matches_reference_on_random():
-    rng = random.Random(71)
-    for i in range(40):
-        inst = gen_random(GenParams(
-            n_agents=rng.randint(13, 30), n_hospitals=rng.randint(3, 14),
-            density=rng.choice([0.1, 0.15, 0.25, 0.4]), seed=7100 + i,
-        ))
-        assert auto_interfaces(inst) == _reference_auto_interfaces(inst)
-        assert auto_interfaces(inst, 4) == _reference_auto_interfaces(inst, 4)
+def _star(n):
+    """Agent a<i> lists hub (capacity 3), then its own p<i>; hub lists the
+    agents by index."""
+    agents = [(f"a{i}", 1, ["hub", f"p{i}"]) for i in range(n)]
+    hospitals = [("hub", 3, [f"a{i}" for i in range(n)])]
+    hospitals += [(f"p{i}", 1, [f"a{i}"]) for i in range(n)]
+    return HrsInstance.build(agents, hospitals)
 
 
-def test_auto_interfaces_matches_reference_on_gadgets_at_caps():
-    # every (men per side, tied men) stratum of 3 to 6 per side, on other
-    # seeds than above, at block caps of 4, 8 and 12
-    for n in range(3, 7):
-        for ties in range(n + 1):
-            seed = 1000 + 10 * n + ties
-            while True:
-                try:
-                    smti = gen_csmti(GenParams(n_agents=n, n_hospitals=n, n_ties=ties, seed=seed))
-                    break
-                except ValueError:  # the generator rejects some seeds
-                    seed += 100
-            inst, _ = reduce_stable(smti)
-            for cap in (4, 8, 12):
-                assert auto_interfaces(inst, cap) == _reference_auto_interfaces(inst, cap)
+def test_decompose_wide_hospital():
+    # a hospital listing 20 agents once made decompose refuse the instance
+    inst = _star(20)
+    dec = stable_matchings(inst, strategy="decompose")
+    plain = stable_matchings(inst)
+    assert dec.complete and plain.complete and len(dec.matchings) == 1
+    assert dec.matchings == sorted(plain.matchings, key=lambda m: m.assign)
 
 
-def test_auto_interfaces_matches_reference_on_random_up_to_40x20():
-    rng = random.Random(72)
-    for i in range(40):
-        inst = gen_random(GenParams(
-            n_agents=rng.randint(13, 40), n_hospitals=rng.randint(3, 20),
-            density=rng.choice([0.1, 0.15, 0.2, 0.3]), seed=7200 + i,
-        ))
-        for cap in (4, 8, 12):
-            assert auto_interfaces(inst, cap) == _reference_auto_interfaces(inst, cap)
-
-
-def test_auto_interfaces_three_cut_after_witnesses(monkeypatch):
-    # a path: agent i lists h_i and h_(i+1). At a cap of 6 no single cut
-    # (12 agents left) or pair (8) is enough; cutting h6, h12 and h18 leaves
-    # four blocks of 6, and no other triple does. Pair cuts that leave more
-    # than 12 agents together stop early and leave witnesses, so the winning
-    # triple is scored only after they are learned
-    inst = HrsInstance.build(
-        [(f"a{i}", 1, [f"h{i}", f"h{i + 1}"]) for i in range(24)],
-        [(f"h{j}", 2, [f"a{i}" for i in (j - 1, j) if 0 <= i < 24]) for j in range(25)],
-    )
-    results = []
-    split = oracle._split
-
-    def recording(*args):
-        results.append(split(*args))
-        return results[-1]
-
-    monkeypatch.setattr(oracle, "_split", recording)
-    assert auto_interfaces(inst, 6) == [6, 12, 18] == _reference_auto_interfaces(inst, 6)
-    witnesses = [i for i, r in enumerate(results) if isinstance(r, tuple)]
-    winning = next(
-        i for i, r in enumerate(results) if isinstance(r, list) and max(n for _, n in r) == 6
-    )
-    assert witnesses and witnesses[0] < winning
+@pytest.mark.parametrize("seed, n_hospitals", [(900159, 6), (900170, 6), (900180, 5)])
+def test_decompose_dense_instance_ranked_checks(seed, n_hospitals):
+    # every agent lists every hospital, so no hospital closes before the last
+    # agent; hospital-level checks alone take 0.3M-2.5M nodes to find the one
+    # stable matching of each, the ranked pair checks a few thousand
+    inst = gen_random(GenParams(
+        n_agents=9, n_hospitals=n_hospitals, size_range=(1, 3), cap_range=(1, 6), density=1.0,
+        seed=seed,
+    ))
+    res = stable_matchings(inst, SearchBudget(max_nodes=5_000), strategy="decompose")
+    assert res.complete and len(res.matchings) == 1
+    assert is_stable(inst, res.matchings[0])
