@@ -1,6 +1,6 @@
 import pytest
 
-from hrs.model import FormatError, InstanceError, Matching, induced_subinstance
+from hrs.model import FormatError, HrsInstance, InstanceError, Matching, induced_subinstance
 from hrs.oracle import (
     SearchBudget,
     exists_a_perfect_occupancy_stable,
@@ -472,3 +472,119 @@ def test_stable_equivalence_pinned_negative():
     inst, _ = reduce_stable(smti)
     res = stable_matchings(inst, SearchBudget(max_nodes=20_000_000), strategy="decompose")
     assert res.complete and res.matchings == []
+
+
+# --- both targets: exact error messages ----------------------------------------------
+
+TARGETS = {
+    "occ": (reduce_occ, lift_occ, project_occ),
+    "stable": (reduce_stable, lift_stable, project_stable),
+}
+
+
+def _with_unmatched_agent(inst, hospital_label):
+    """The instance plus one unit agent ``Z`` that lists only the given
+    hospital and that the hospital ranks first."""
+    agents = [
+        (inst.agent_labels[a], inst.sizes[a],
+         [inst.hospital_labels[h] for h in inst.agent_prefs[a]])
+        for a in range(inst.n_agents)
+    ] + [("Z", 1, [hospital_label])]
+    hospitals = []
+    for h in range(inst.n_hospitals):
+        lst = [inst.agent_labels[a] for a in inst.hospital_prefs[h]]
+        if inst.hospital_labels[h] == hospital_label:
+            lst.insert(0, "Z")
+        hospitals.append((inst.hospital_labels[h], inst.caps[h], lst))
+    return HrsInstance.build(agents, hospitals)
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_reduction_error_messages(target):
+    reduce_, lift, project = TARGETS[target]
+    other = "stable" if target == "occ" else "occ"
+    smti = two_tied()
+    source = smti_complete_stable(smti)
+    inst, index = reduce_(smti)
+    _, other_index = TARGETS[other][0](smti)
+    lifted = lift(smti, source, index, inst)
+
+    wrong = f"index is not from the {target} reduction"
+    with pytest.raises(ReductionError, match=wrong):
+        lift(smti, source, other_index, inst)
+    with pytest.raises(ReductionError, match=wrong):
+        project(smti, lifted, other_index, inst)
+    with pytest.raises(ReductionError, match="^not a valid restricted instance: "):
+        reduce_(SmtiInstance.build(
+            [("m1", [["w1"], ["w2"]]), ("m2", [["w1", "w2"]])],
+            [("w1", ["m1", "m2"]), ("w2", ["m1", "m2"])],
+        ))
+    with pytest.raises(ReductionError, match="^source matching is not complete$"):
+        lift(smti, SmtiMatching.empty(smti), index, inst)
+
+    csm = no_csm()
+    csm_inst, csm_index = reduce_(csm)
+    outside = SmtiMatching.from_pairs(csm, [(0, 2), (1, 0), (2, 1)])
+    with pytest.raises(ReductionError, match="^tied man matched outside his tie$"):
+        lift(csm, outside, csm_index, csm_inst)
+    with pytest.raises(ReductionError, match="^man m2 is not tied$"):
+        tied_t_sets(csm, csm_index, csm_inst, 1)
+
+    empty = {
+        "occ": "^reduced matching is not all-agents-matched$",
+        "stable": "^reduced matching is not stable$",
+    }[target]
+    with pytest.raises(ReductionError, match=empty):
+        project(smti, Matching.empty(inst), index, inst)
+
+    # a lift checked against an instance with one more agent, who stays
+    # unmatched (and, at capacity 1, blocks with the hospital ranking it first)
+    padded = _with_unmatched_agent(inst, index.women["w1"])
+    unmatched = {
+        "occ": "^lifted matching leaves an agent unmatched$",
+        "stable": "^lifted matching is not stable$",
+    }[target]
+    with pytest.raises(ReductionError, match=unmatched):
+        lift(smti, source, index, padded)
+
+    # label books tampered so that a good matching projects badly
+    swapped = GadgetIndex(
+        target, {"w1": index.women["w2"], "w2": index.women["w1"]}, index.men
+    )
+    selects = {
+        "occ": "^gadget of m1 selects no woman-hospital$",
+        "stable": "^gadget of m1 matches neither alternative$",
+    }[target]
+    with pytest.raises(ReductionError, match=selects):
+        project(smti, lifted, swapped, inst)
+
+    strict = all_strict_3()
+    s_source = smti_complete_stable(strict)
+    s_inst, s_index = reduce_(strict)
+    s_lifted = lift(strict, s_source, s_index, s_inst)
+    s_women = dict(s_index.women)
+    s_women["w1"], s_women["w2"] = s_women["w2"], s_women["w1"]
+    with pytest.raises(ReductionError, match="^projected matching is not weakly stable$"):
+        project(strict, s_lifted, GadgetIndex(target, s_women, s_index.men), s_inst)
+    m1 = s_index.men["m1"]
+    elsewhere = next(v for k, v in m1["agents"].items() if k != "a")
+    moved = dict(s_index.men, m1={**m1, "agents": {**m1["agents"], "a": elsewhere}})
+    with pytest.raises(ReductionError, match="^agent of m1 not at a woman-hospital$"):
+        project(strict, s_lifted, GadgetIndex(target, s_index.women, moved), s_inst)
+
+    if target == "occ":
+        with pytest.raises(
+            ReductionError, match="^forced chains exist only in the stable target$"
+        ):
+            forced_chain_pairs(smti, index, inst)
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_lift_and_project_build_the_instance_when_not_given(target):
+    reduce_, lift, project = TARGETS[target]
+    for smti in (two_tied(), all_strict_3()):
+        source = smti_complete_stable(smti)
+        inst, index = reduce_(smti)
+        lifted = lift(smti, source, index, inst)
+        assert lift(smti, source, index) == lifted
+        assert project(smti, lifted, index) == project(smti, lifted, index, inst) == source
