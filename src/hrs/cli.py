@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import harness, oracle, reduce as reduction
 from .model import (
@@ -149,12 +150,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     return (int(lo), int(hi or lo))
 
 
+# CLI family name -> (generator, serializer of what it returns)
+_GENERATORS = {
+    "uniform": (harness.gen_random, serialize_instance),
+    "gen-ml": (harness.gen_master_list, serialize_instance),
+    "csmti": (harness.gen_csmti, reduction.serialize_smti),
+}
+
+
 def _cmd_gen(args) -> int:
-    family = {
-        "uniform": harness.UNIFORM_RANDOM,
-        "gen-ml": harness.GEN_MASTER_LIST,
-        "csmti": harness.CSMTI,
-    }[args.family]
+    generate, serialize = _GENERATORS[args.family]
     params = harness.GenParams(
         n_agents=args.agents,
         n_hospitals=args.hospitals,
@@ -162,15 +167,9 @@ def _cmd_gen(args) -> int:
         cap_range=_parse_range(args.caps),
         density=args.density,
         seed=args.seed,
-        family=family,
         n_ties=args.ties,
     )
-    if family == harness.CSMTI:
-        text = reduction.serialize_smti(harness.gen_csmti(params))
-    elif family == harness.GEN_MASTER_LIST:
-        text = serialize_instance(harness.gen_master_list(params))
-    else:
-        text = serialize_instance(harness.gen_random(params))
+    text = serialize(generate(params))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(text)
@@ -206,15 +205,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_test(args) -> int:
     budget = SearchBudget(max_nodes=_default_max_nodes(args))
-    params = harness.GenParams(
-        n_agents=6, n_hospitals=4, size_range=(1, 3), cap_range=(1, 6),
-        density=0.7, seed=args.seed,
-    )
-    if args.suite == "stable-implies-occ":
-        params = harness.GenParams(
-            n_agents=4, n_hospitals=4, size_range=(1, 3), cap_range=(1, 6),
-            density=0.7, seed=args.seed,
-        )
+    params = replace(harness._SUITES[args.suite][0], seed=args.seed)
     report = harness.run_property_suite(args.suite, args.trials, budget, params)
     _emit(report.to_json())
     return EXIT_OK if report.passed else EXIT_PROPERTY_FAILS
@@ -258,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("gen", help="generate a seeded random instance")
-    p.add_argument("--family", choices=["uniform", "gen-ml", "csmti"], default="uniform")
+    p.add_argument("--family", choices=list(_GENERATORS), default="uniform")
     p.add_argument("--agents", type=int, required=True)
     p.add_argument("--hospitals", type=int, default=0)
     p.add_argument("--sizes", default="1:3", help="LO:HI (default 1:3)")

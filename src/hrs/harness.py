@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 from multiprocessing import get_context
 from typing import Callable, Iterator
 
@@ -36,7 +37,6 @@ from .verify import (
 
 UNIFORM_RANDOM = "uniform_random"
 GEN_MASTER_LIST = "gen_master_list"
-CSMTI = "csmti"
 
 
 @dataclass(frozen=True)
@@ -384,9 +384,43 @@ class SuiteReport:
         }
 
 
-SUITES = ("occ-stable-always", "gen-ml-stable", "stable-implies-occ")
-
 _SMALL = GenParams(n_agents=6, n_hospitals=4, size_range=(1, 3), cap_range=(1, 6), density=0.7)
+
+
+def _occ_output_blocked(inst: HrsInstance, budget: SearchBudget) -> bool:
+    return bool(find_occupancy_blocking_pairs(inst, solve_occupancy(inst)))
+
+
+def _ml_output_blocked(inst: HrsInstance, budget: SearchBudget) -> bool:
+    partition = detect_generalized_master_list(inst)
+    if partition is None:
+        return True
+    return bool(find_blocking_pairs(inst, solve(inst, partition).final))
+
+
+def _stable_not_occ(inst: HrsInstance, budget: SearchBudget) -> bool:
+    for matching in enumerate_feasible(inst, budget):
+        if is_stable(inst, matching) and not is_occupancy_stable(inst, matching):
+            return True
+    return False
+
+
+# suite name -> (default template, generator, failure predicate, violation message)
+_SUITES: dict[str, tuple[GenParams, Callable, Callable, str]] = {
+    "occ-stable-always": (
+        _SMALL, gen_random, _occ_output_blocked,
+        "solver output admits an occupancy-blocking pair",
+    ),
+    "gen-ml-stable": (
+        replace(_SMALL, family=GEN_MASTER_LIST), gen_master_list, _ml_output_blocked,
+        "solver output under a detected ordering admits a blocking pair",
+    ),
+    "stable-implies-occ": (
+        replace(_SMALL, n_agents=4), gen_random, _stable_not_occ,
+        "stable matching that is not occupancy-stable",
+    ),
+}
+SUITES = tuple(_SUITES)
 
 
 def _trial_instance(template: GenParams, trial: int, gen) -> HrsInstance:
@@ -404,65 +438,27 @@ def run_property_suite(
     params: GenParams | None = None,
 ) -> SuiteReport:
     """Run one named invariant family over seeded random trials; violations
-    come back with a shrunken instance attached."""
+    come back with a shrunken instance attached. A trial whose search runs out
+    of budget counts as exhausted, not as a violation."""
     if trials < 0:
         raise ValueError(f"negative trial count {trials}")
+    if suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    template, gen, predicate, message = _SUITES[suite]
+    template = params or template
     budget = budget or SearchBudget()
     report = SuiteReport(suite, trials)
-    if suite == "occ-stable-always":
-        template = params or _SMALL
-
-        def fails(inst: HrsInstance) -> bool:
-            return bool(find_occupancy_blocking_pairs(inst, solve_occupancy(inst)))
-
-        for t in range(trials):
-            inst = _trial_instance(template, t, gen_random)
+    fails = partial(predicate, budget=budget)
+    for t in range(trials):
+        inst = _trial_instance(template, t, gen)
+        try:
             if fails(inst):
                 small = shrink_instance(inst, fails)
                 report.violations.append({
                     "seed": template.seed ^ t,
-                    "message": "solver output admits an occupancy-blocking pair",
+                    "message": message,
                     "instance": serialize_instance(small),
                 })
-    elif suite == "gen-ml-stable":
-        template = params or replace(_SMALL, family=GEN_MASTER_LIST)
-
-        def fails(inst: HrsInstance) -> bool:
-            partition = detect_generalized_master_list(inst)
-            if partition is None:
-                return True
-            return bool(find_blocking_pairs(inst, solve(inst, partition).final))
-
-        for t in range(trials):
-            inst = _trial_instance(template, t, gen_master_list)
-            if fails(inst):
-                small = shrink_instance(inst, fails)
-                report.violations.append({
-                    "seed": template.seed ^ t,
-                    "message": "solver output under a detected ordering admits a blocking pair",
-                    "instance": serialize_instance(small),
-                })
-    elif suite == "stable-implies-occ":
-        template = params or replace(_SMALL, n_agents=4)
-
-        def fails(inst: HrsInstance) -> bool:
-            for matching in enumerate_feasible(inst, budget):
-                if is_stable(inst, matching) and not is_occupancy_stable(inst, matching):
-                    return True
-            return False
-
-        for t in range(trials):
-            inst = _trial_instance(template, t, gen_random)
-            try:
-                if fails(inst):
-                    small = shrink_instance(inst, fails)
-                    report.violations.append({
-                        "seed": template.seed ^ t,
-                        "message": "stable matching that is not occupancy-stable",
-                        "instance": serialize_instance(small),
-                    })
-            except BudgetExhausted:
-                report.exhausted += 1
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
+        except BudgetExhausted:
+            report.exhausted += 1
     return report

@@ -23,12 +23,19 @@ Both directions of each equivalence are realized as explicit matching maps
 (lift: source matching to reduced matching, project: reduced matching back to
 the source); the lifts run the corresponding verifier before returning and
 fail loudly if the construction is broken.
+
+Both targets run on one skeleton: ``_reduce`` builds, ``_lift`` lifts and
+``_project`` projects. Everything in which the targets differ is one
+``_Target`` record each in ``_TARGETS``: woman capacity, gadget builder,
+bounds check, forced pairs, verifier checks with their messages, and the role
+tables of the witness maps. The stable target's forced chain pairs are read
+off the label book, where its chain helper records them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .model import (
     UNMATCHED,
@@ -364,15 +371,43 @@ class GadgetIndex:
         return cls(data["target"], data["women"], data["men"])
 
 
-def _require_csmti(smti: SmtiInstance) -> None:
-    report = validate_csmti(smti)
-    if not report.ok:
-        raise ReductionError(f"not a valid restricted instance: {report.summary()}")
-
-
 def _normalized_tie(smti: SmtiInstance, m: int) -> tuple[int, int]:
     a, b = smti.men_prefs[m][0]
     return (a, b) if a < b else (b, a)
+
+
+def _reduce(smti: SmtiInstance, target: str) -> tuple[HrsInstance, GadgetIndex]:
+    """The construction both targets share: one gadget per man from the
+    target's builder, then every woman as a hospital whose list names, in her
+    order, the gadget agent that stands for each of her men (``a1``/``a2`` for
+    a tied man, by the side of his tie she is on, ``a`` for a strict one)."""
+    spec = _TARGETS[target]
+    report = validate_csmti(smti)
+    if not report.ok:
+        raise ReductionError(f"not a valid restricted instance: {report.summary()}")
+    women_h = [f"W{i + 1}" for i in range(smti.n_women)]
+    agents: list[tuple[str, int, list[str]]] = []
+    gadget_hospitals: list[tuple[str, int, list[str]]] = []
+    men_info: dict[str, dict] = {}
+    stand_in: dict[tuple[int, int], str] = {}  # (man, woman) -> agent her list names
+    for j in range(smti.n_men):
+        tied = smti.has_tie(j)
+        ws = _normalized_tie(smti, j) if tied else [g[0] for g in smti.men_prefs[j]]
+        info = spec.gadget(j + 1, tied, [women_h[w] for w in ws], agents, gadget_hospitals)
+        for w, role in zip(ws, ("a1", "a2") if tied else ("a",) * len(ws)):
+            stand_in[j, w] = info["agents"][role]
+        men_info[smti.men_labels[j]] = info
+    # entry-wise substitution into the woman-hospital lists
+    woman_hospitals = [
+        (women_h[i], spec.woman_cap, [stand_in[m, i] for m in smti.women_prefs[i]])
+        for i in range(smti.n_women)
+    ]
+    inst = HrsInstance.build(agents, woman_hospitals + gadget_hospitals)
+    index = GadgetIndex(target, dict(zip(smti.women_labels, women_h)), men_info)
+    report = spec.bounds(inst)
+    if not report.ok:
+        raise ReductionError(f"construction broke its bounds: {report.summary()}")
+    return inst, index
 
 
 def reduce_occ(smti: SmtiInstance) -> tuple[HrsInstance, GadgetIndex]:
@@ -384,74 +419,46 @@ def reduce_occ(smti: SmtiInstance) -> tuple[HrsInstance, GadgetIndex]:
     anchors; a strict man becomes one size-2 agent listing his three
     woman-hospitals and a private fallback hospital guarded by a unit anchor.
     """
-    _require_csmti(smti)
-    women_h = [f"W{i + 1}" for i in range(smti.n_women)]
-    agents: list[tuple[str, int, list[str]]] = []
-    gadget_hospitals: list[tuple[str, int, list[str]]] = []
-    men_info: dict[str, dict] = {}
-    for j in range(smti.n_men):
-        tag = j + 1
-        if smti.has_tie(j):
-            wa, wb = _normalized_tie(smti, j)
-            a1, a2, a3, a4 = (f"A{tag}_1", f"A{tag}_2", f"A{tag}_3", f"A{tag}_4")
-            x1, x2 = f"A{tag}_x1", f"A{tag}_x2"
-            h1, h2 = f"H{tag}_1", f"H{tag}_2"
-            g1, g2 = f"H{tag}_x1", f"H{tag}_x2"
-            agents += [
-                (a1, 2, [h1, women_h[wa], g1]),
-                (a2, 2, [h2, women_h[wb], g2]),
-                (a3, 1, [h1, h2]),
-                (a4, 1, [h2, h1]),
-                (x1, 1, [g1]),
-                (x2, 1, [g2]),
-            ]
-            gadget_hospitals += [
-                (h1, 2, [a4, a1, a3]),
-                (h2, 2, [a3, a2, a4]),
-                (g1, 2, [x1, a1]),
-                (g2, 2, [x2, a2]),
-            ]
-            men_info[smti.men_labels[j]] = {
-                "kind": "tie",
-                "agents": {"a1": a1, "a2": a2, "a3": a3, "a4": a4, "x1": x1, "x2": x2},
-                "hospitals": {"h1": h1, "h2": h2, "x1": g1, "x2": g2},
-            }
-        else:
-            ws = [g[0] for g in smti.men_prefs[j]]
-            a_s, beta = f"A{tag}", f"B{tag}"
-            hb = f"H{tag}_b"
-            agents += [
-                (a_s, 2, [women_h[w] for w in ws] + [hb]),
-                (beta, 1, [hb]),
-            ]
-            gadget_hospitals += [(hb, 2, [beta, a_s])]
-            men_info[smti.men_labels[j]] = {
-                "kind": "strict",
-                "agents": {"a": a_s, "beta": beta},
-                "hospitals": {"beta": hb},
-            }
-    # entry-wise substitution into the woman-hospital lists
-    woman_hospitals: list[tuple[str, int, list[str]]] = []
-    for i in range(smti.n_women):
-        lst = []
-        for m in smti.women_prefs[i]:
-            if smti.has_tie(m):
-                wa, _ = _normalized_tie(smti, m)
-                role = "a1" if i == wa else "a2"
-                lst.append(men_info[smti.men_labels[m]]["agents"][role])
-            else:
-                lst.append(men_info[smti.men_labels[m]]["agents"]["a"])
-        woman_hospitals.append((women_h[i], 2, lst))
-    inst = HrsInstance.build(agents, woman_hospitals + gadget_hospitals)
-    index = GadgetIndex(
-        "occ",
-        {smti.women_labels[i]: women_h[i] for i in range(smti.n_women)},
-        men_info,
-    )
-    report = check_occ_bounds(inst)
-    if not report.ok:
-        raise ReductionError(f"construction broke its bounds: {report.summary()}")
-    return inst, index
+    return _reduce(smti, "occ")
+
+
+def _occ_gadget(tag: int, tied: bool, women: list[str], agents: list, hospitals: list) -> dict:
+    if tied:
+        a1, a2, a3, a4 = (f"A{tag}_1", f"A{tag}_2", f"A{tag}_3", f"A{tag}_4")
+        x1, x2 = f"A{tag}_x1", f"A{tag}_x2"
+        h1, h2 = f"H{tag}_1", f"H{tag}_2"
+        g1, g2 = f"H{tag}_x1", f"H{tag}_x2"
+        agents += [
+            (a1, 2, [h1, women[0], g1]),
+            (a2, 2, [h2, women[1], g2]),
+            (a3, 1, [h1, h2]),
+            (a4, 1, [h2, h1]),
+            (x1, 1, [g1]),
+            (x2, 1, [g2]),
+        ]
+        hospitals += [
+            (h1, 2, [a4, a1, a3]),
+            (h2, 2, [a3, a2, a4]),
+            (g1, 2, [x1, a1]),
+            (g2, 2, [x2, a2]),
+        ]
+        return {
+            "kind": "tie",
+            "agents": {"a1": a1, "a2": a2, "a3": a3, "a4": a4, "x1": x1, "x2": x2},
+            "hospitals": {"h1": h1, "h2": h2, "x1": g1, "x2": g2},
+        }
+    a_s, beta = f"A{tag}", f"B{tag}"
+    hb = f"H{tag}_b"
+    agents += [
+        (a_s, 2, women + [hb]),
+        (beta, 1, [hb]),
+    ]
+    hospitals.append((hb, 2, [beta, a_s]))
+    return {
+        "kind": "strict",
+        "agents": {"a": a_s, "beta": beta},
+        "hospitals": {"beta": hb},
+    }
 
 
 def check_occ_bounds(inst: HrsInstance) -> ValidationReport:
@@ -482,95 +489,63 @@ def reduce_stable(smti: SmtiInstance) -> tuple[HrsInstance, GadgetIndex]:
     chain. Each chase chain minus its first hospital is a pattern with no
     stable matching, which is what forces the chain edges.
     """
-    _require_csmti(smti)
-    women_h = [f"W{i + 1}" for i in range(smti.n_women)]
-    agents: list[tuple[str, int, list[str]]] = []
-    gadget_hospitals: list[tuple[str, int, list[str]]] = []
-    men_info: dict[str, dict] = {}
+    return _reduce(smti, "stable")
 
-    def chain(agent_prefix: str, hospital_prefix: str, guard_agent: str) -> tuple[list, list, dict, dict]:
-        """Chase chain q1/q2/q3 over p1/p2/p3; p1 prefers guard_agent."""
-        q1, q2, q3 = f"{agent_prefix}1", f"{agent_prefix}2", f"{agent_prefix}3"
-        p1, p2, p3 = f"{hospital_prefix}1", f"{hospital_prefix}2", f"{hospital_prefix}3"
-        ag = [
-            (q1, 1, [p1, p2, p3]),
-            (q2, 1, [p3, p2]),
-            (q3, 3, [p3]),
-        ]
-        hs = [
-            (p1, 1, [guard_agent, q1]),
-            (p2, 1, [q2, q1]),
-            (p3, 3, [q1, q3, q2]),
-        ]
-        return ag, hs, {"q1": q1, "q2": q2, "q3": q3}, {"p1": p1, "p2": p2, "p3": p3}
 
-    for j in range(smti.n_men):
-        tag = j + 1
-        if smti.has_tie(j):
-            wa, wb = _normalized_tie(smti, j)
-            a1, a2, a3 = f"A{tag}_1", f"A{tag}_2", f"A{tag}_3"
-            a4, a5, a6 = f"A{tag}_4", f"A{tag}_5", f"A{tag}_6"
-            h1, h2 = f"H{tag}_1", f"H{tag}_2"
-            c1_ag, c1_hs, c1_qroles, c1_proles = chain(f"Q{tag}_1_", f"P{tag}_1_", a1)
-            c2_ag, c2_hs, c2_qroles, c2_proles = chain(f"Q{tag}_2_", f"P{tag}_2_", a2)
-            agents += [
-                (a1, 1, [h1, women_h[wa], c1_proles["p1"]]),
-                (a2, 1, [h2, women_h[wb], c2_proles["p1"]]),
-                (a3, 1, [h2, h1]),
-                (a4, 1, [h1, h2]),
-                (a5, 3, [h1]),
-                (a6, 3, [h2]),
-            ] + c1_ag + c2_ag
-            gadget_hospitals += [
-                (h1, 3, [a3, a5, a1, a4]),
-                (h2, 3, [a4, a6, a2, a3]),
-            ] + c1_hs + c2_hs
-            agent_roles = {"a1": a1, "a2": a2, "a3": a3, "a4": a4, "a5": a5, "a6": a6}
-            hospital_roles = {"h1": h1, "h2": h2}
-            for k, (qr, pr) in enumerate(((c1_qroles, c1_proles), (c2_qroles, c2_proles)), 1):
-                for t in (1, 2, 3):
-                    agent_roles[f"q_{k}_{t}"] = qr[f"q{t}"]
-                    hospital_roles[f"p_{k}_{t}"] = pr[f"p{t}"]
-            men_info[smti.men_labels[j]] = {
-                "kind": "tie", "agents": agent_roles, "hospitals": hospital_roles,
-            }
-        else:
-            ws = [g[0] for g in smti.men_prefs[j]]
-            a_s = f"A{tag}"
-            c_ag, c_hs, c_qroles, c_proles = chain(f"Q{tag}_", f"P{tag}_", a_s)
-            agents += [
-                (a_s, 1, [women_h[w] for w in ws] + [c_proles["p1"]]),
-            ] + c_ag
-            gadget_hospitals += c_hs
-            agent_roles = {"a": a_s}
-            hospital_roles = {}
-            for t in (1, 2, 3):
-                agent_roles[f"q_{t}"] = c_qroles[f"q{t}"]
-                hospital_roles[f"p_{t}"] = c_proles[f"p{t}"]
-            men_info[smti.men_labels[j]] = {
-                "kind": "strict", "agents": agent_roles, "hospitals": hospital_roles,
-            }
-    woman_hospitals: list[tuple[str, int, list[str]]] = []
-    for i in range(smti.n_women):
-        lst = []
-        for m in smti.women_prefs[i]:
-            if smti.has_tie(m):
-                wa, _ = _normalized_tie(smti, m)
-                role = "a1" if i == wa else "a2"
-                lst.append(men_info[smti.men_labels[m]]["agents"][role])
-            else:
-                lst.append(men_info[smti.men_labels[m]]["agents"]["a"])
-        woman_hospitals.append((women_h[i], 1, lst))
-    inst = HrsInstance.build(agents, woman_hospitals + gadget_hospitals)
-    index = GadgetIndex(
-        "stable",
-        {smti.women_labels[i]: women_h[i] for i in range(smti.n_women)},
-        men_info,
-    )
-    report = check_stable_bounds(inst)
-    if not report.ok:
-        raise ReductionError(f"construction broke its bounds: {report.summary()}")
-    return inst, index
+def _chain(tag: int, key: str, guard_agent: str, info: dict) -> tuple[list, list]:
+    """Chase chain q1/q2/q3 over p1/p2/p3 of man ``tag``; p1 prefers
+    guard_agent. Records the roles ``q_<key><t>``/``p_<key><t>`` in his
+    label-book entry ``info`` and returns the chain's agent and hospital rows."""
+    q1, q2, q3 = f"Q{tag}_{key}1", f"Q{tag}_{key}2", f"Q{tag}_{key}3"
+    p1, p2, p3 = f"P{tag}_{key}1", f"P{tag}_{key}2", f"P{tag}_{key}3"
+    for t, (q, p) in enumerate(((q1, p1), (q2, p2), (q3, p3)), 1):
+        info["agents"][f"q_{key}{t}"] = q
+        info["hospitals"][f"p_{key}{t}"] = p
+    agent_rows = [
+        (q1, 1, [p1, p2, p3]),
+        (q2, 1, [p3, p2]),
+        (q3, 3, [p3]),
+    ]
+    hospital_rows = [
+        (p1, 1, [guard_agent, q1]),
+        (p2, 1, [q2, q1]),
+        (p3, 3, [q1, q3, q2]),
+    ]
+    return agent_rows, hospital_rows
+
+
+def _stable_gadget(tag: int, tied: bool, women: list[str], agents: list, hospitals: list) -> dict:
+    if tied:
+        a1, a2, a3 = f"A{tag}_1", f"A{tag}_2", f"A{tag}_3"
+        a4, a5, a6 = f"A{tag}_4", f"A{tag}_5", f"A{tag}_6"
+        h1, h2 = f"H{tag}_1", f"H{tag}_2"
+        info = {
+            "kind": "tie",
+            "agents": {"a1": a1, "a2": a2, "a3": a3, "a4": a4, "a5": a5, "a6": a6},
+            "hospitals": {"h1": h1, "h2": h2},
+        }
+        c1_agents, c1_hospitals = _chain(tag, "1_", a1, info)
+        c2_agents, c2_hospitals = _chain(tag, "2_", a2, info)
+        hs = info["hospitals"]
+        agents += [
+            (a1, 1, [h1, women[0], hs["p_1_1"]]),
+            (a2, 1, [h2, women[1], hs["p_2_1"]]),
+            (a3, 1, [h2, h1]),
+            (a4, 1, [h1, h2]),
+            (a5, 3, [h1]),
+            (a6, 3, [h2]),
+        ] + c1_agents + c2_agents
+        hospitals += [
+            (h1, 3, [a3, a5, a1, a4]),
+            (h2, 3, [a4, a6, a2, a3]),
+        ] + c1_hospitals + c2_hospitals
+        return info
+    a_s = f"A{tag}"
+    info = {"kind": "strict", "agents": {"a": a_s}, "hospitals": {}}
+    c_agents, c_hospitals = _chain(tag, "", a_s, info)
+    agents += [(a_s, 1, women + [info["hospitals"]["p_1"]])] + c_agents
+    hospitals += c_hospitals
+    return info
 
 
 def check_stable_bounds(inst: HrsInstance) -> ValidationReport:
@@ -589,8 +564,12 @@ def check_stable_bounds(inst: HrsInstance) -> ValidationReport:
 # --- witness maps -------------------------------------------------------------
 
 
-def _pair(inst: HrsInstance, agent_label: str, hospital_label: str) -> tuple[int, int]:
-    return inst.agent_index[agent_label], inst.hospital_index[hospital_label]
+def _role_pairs(inst: HrsInstance, info: dict, woman: str, roles: RolePairs) -> list[tuple]:
+    """One gadget's index pairs for a role table; ``_WOMAN`` is the
+    woman-hospital labelled ``woman``."""
+    agent, hospital = inst.agent_index, inst.hospital_index
+    ag, hs = info["agents"], info["hospitals"]
+    return [(agent[ag[a]], hospital[woman if h == _WOMAN else hs[h]]) for a, h in roles]
 
 
 def tied_t_sets(
@@ -601,43 +580,10 @@ def tied_t_sets(
     info = index.men[smti.men_labels[m]]
     if info["kind"] != "tie":
         raise ReductionError(f"man {smti.men_labels[m]} is not tied")
-    wa, wb = _normalized_tie(smti, m)
-    ag, hs = info["agents"], info["hospitals"]
-    ha = index.women[smti.women_labels[wa]]
-    hb = index.women[smti.women_labels[wb]]
-    if index.target == "occ":
-        t_a = [
-            _pair(inst, ag["a1"], ha),
-            _pair(inst, ag["a2"], hs["h2"]),
-            _pair(inst, ag["a3"], hs["h1"]),
-            _pair(inst, ag["a4"], hs["h1"]),
-            _pair(inst, ag["x1"], hs["x1"]),
-            _pair(inst, ag["x2"], hs["x2"]),
-        ]
-        t_b = [
-            _pair(inst, ag["a1"], hs["h1"]),
-            _pair(inst, ag["a2"], hb),
-            _pair(inst, ag["a3"], hs["h2"]),
-            _pair(inst, ag["a4"], hs["h2"]),
-            _pair(inst, ag["x1"], hs["x1"]),
-            _pair(inst, ag["x2"], hs["x2"]),
-        ]
-    else:
-        t_a = [
-            _pair(inst, ag["a1"], ha),
-            _pair(inst, ag["a2"], hs["h2"]),
-            _pair(inst, ag["a3"], hs["h2"]),
-            _pair(inst, ag["a4"], hs["h2"]),
-            _pair(inst, ag["a5"], hs["h1"]),
-        ]
-        t_b = [
-            _pair(inst, ag["a1"], hs["h1"]),
-            _pair(inst, ag["a2"], hb),
-            _pair(inst, ag["a3"], hs["h1"]),
-            _pair(inst, ag["a4"], hs["h1"]),
-            _pair(inst, ag["a6"], hs["h2"]),
-        ]
-    return t_a, t_b
+    return tuple(
+        _role_pairs(inst, info, index.women[smti.women_labels[w]], roles)
+        for w, roles in zip(_normalized_tie(smti, m), _TARGETS[index.target].t_sets)
+    )
 
 
 def forced_chain_pairs(
@@ -647,28 +593,150 @@ def forced_chain_pairs(
     matching (one chain per strict man, two per tied man)."""
     if index.target != "stable":
         raise ReductionError("forced chains exist only in the stable target")
+    # the chain helper records each chain hospital p_<key> next to its agent q_<key>
     out: list[tuple[int, int]] = []
     for m in range(smti.n_men):
         info = index.men[smti.men_labels[m]]
-        ag, hs = info["agents"], info["hospitals"]
-        if info["kind"] == "tie":
-            for k in (1, 2):
-                for t in (1, 2, 3):
-                    out.append(_pair(inst, ag[f"q_{k}_{t}"], hs[f"p_{k}_{t}"]))
-        else:
-            for t in (1, 2, 3):
-                out.append(_pair(inst, ag[f"q_{t}"], hs[f"p_{t}"]))
+        for role, label in info["hospitals"].items():
+            if role[0] == "p":
+                q = info["agents"]["q" + role[1:]]
+                out.append((inst.agent_index[q], inst.hospital_index[label]))
     return out
 
 
-def _strict_pairs(
-    smti: SmtiInstance, index: GadgetIndex, inst: HrsInstance, m: int, w: int
-) -> list[tuple[int, int]]:
-    info = index.men[smti.men_labels[m]]
-    pairs = [_pair(inst, info["agents"]["a"], index.women[smti.women_labels[w]])]
-    if index.target == "occ":
-        pairs.append(_pair(inst, info["agents"]["beta"], info["hospitals"]["beta"]))
-    return pairs
+# --- per-target records, and the lift and project that read them --------------
+
+_WOMAN = "w"  # hospital role: the woman-hospital of the woman a role table is read for
+
+RolePairs = tuple[tuple[str, str], ...]  # (agent role, hospital role) pairs
+
+
+@dataclass(frozen=True)
+class _Target:
+    """Everything in which one target differs from the other; the shared
+    bodies ``_reduce``, ``_lift`` and ``_project`` read nothing else of it."""
+
+    woman_cap: int
+    # (tag, tied, his woman-hospitals, agent rows, hospital rows) -> label-book
+    # entry, appending man ``tag``'s gadget rows; a tie's women in index order
+    gadget: Callable[[int, bool, list[str], list, list], dict]
+    bounds: Callable[[HrsInstance], ValidationReport]
+    forced: Callable[[SmtiInstance, GadgetIndex, HrsInstance], list] | None  # in every lift
+    # (verifier, message for a lifted matching, message for a matching to
+    # project), checked in order
+    checks: tuple[tuple[Callable[[HrsInstance, Matching], bool], str, str], ...]
+    strict: RolePairs  # a strict man's pairs
+    t_sets: tuple[RolePairs, RolePairs]  # a tied man's, at his lower / higher woman
+    select: tuple[RolePairs, RolePairs] | None  # what projection reads of each (None: all)
+    unselected: str  # how a tied gadget that selects neither woman is reported
+
+
+_TARGETS = {
+    "occ": _Target(
+        woman_cap=2,
+        gadget=_occ_gadget,
+        bounds=check_occ_bounds,
+        forced=None,
+        checks=(
+            (verify.is_a_perfect, "lifted matching leaves an agent unmatched",
+             "reduced matching is not all-agents-matched"),
+            (verify.is_occupancy_stable, "lifted matching is not occupancy-stable",
+             "reduced matching is not occupancy-stable"),
+        ),
+        strict=(("a", _WOMAN), ("beta", "beta")),
+        t_sets=(
+            (("a1", _WOMAN), ("a2", "h2"), ("a3", "h1"), ("a4", "h1"), ("x1", "x1"), ("x2", "x2")),
+            (("a1", "h1"), ("a2", _WOMAN), ("a3", "h2"), ("a4", "h2"), ("x1", "x1"), ("x2", "x2")),
+        ),
+        select=((("a1", _WOMAN),), (("a2", _WOMAN),)),
+        unselected="selects no woman-hospital",
+    ),
+    "stable": _Target(
+        woman_cap=1,
+        gadget=_stable_gadget,
+        bounds=check_stable_bounds,
+        forced=forced_chain_pairs,
+        checks=(
+            (verify.is_stable, "lifted matching is not stable", "reduced matching is not stable"),
+        ),
+        strict=(("a", _WOMAN),),
+        t_sets=(
+            (("a1", _WOMAN), ("a2", "h2"), ("a3", "h2"), ("a4", "h2"), ("a5", "h1")),
+            (("a1", "h1"), ("a2", _WOMAN), ("a3", "h1"), ("a4", "h1"), ("a6", "h2")),
+        ),
+        select=None,
+        unselected="matches neither alternative",
+    ),
+}
+
+
+def _target_of(index: GadgetIndex, target: str) -> _Target:
+    if index.target != target:
+        raise ReductionError(f"index is not from the {target} reduction")
+    return _TARGETS[target]
+
+
+def _lift(
+    target: str, smti: SmtiInstance, matching: SmtiMatching, index: GadgetIndex,
+    inst: HrsInstance | None,
+) -> Matching:
+    spec = _target_of(index, target)
+    if not is_complete(smti, matching):
+        raise ReductionError("source matching is not complete")
+    if inst is None:
+        inst, _ = _reduce(smti, target)
+    pairs = spec.forced(smti, index, inst) if spec.forced else []
+    for m, w in enumerate(matching.assign):
+        if smti.has_tie(m):
+            alternatives = dict(zip(_normalized_tie(smti, m), tied_t_sets(smti, index, inst, m)))
+            if w not in alternatives:
+                raise ReductionError("tied man matched outside his tie")
+            pairs += alternatives[w]
+        else:
+            info = index.men[smti.men_labels[m]]
+            pairs += _role_pairs(inst, info, index.women[smti.women_labels[w]], spec.strict)
+    lifted = Matching.from_pairs(inst, pairs)
+    for check, lifted_message, _ in spec.checks:
+        if not check(inst, lifted):
+            raise ReductionError(lifted_message)
+    return lifted
+
+
+def _project(
+    target: str, smti: SmtiInstance, matching: Matching, index: GadgetIndex,
+    inst: HrsInstance | None,
+) -> SmtiMatching:
+    spec = _target_of(index, target)
+    if inst is None:
+        inst, _ = _reduce(smti, target)
+    for check, _, reduced_message in spec.checks:
+        if not check(inst, matching):
+            raise ReductionError(reduced_message)
+    pairs = matching.pairs()
+    pair_set, matched = set(pairs), dict(pairs)
+    woman_at = {inst.hospital_index[h]: smti.women_index[w] for w, h in index.women.items()}
+    out: list[tuple[int, int]] = []
+    for m in range(smti.n_men):
+        info = index.men[smti.men_labels[m]]
+        if info["kind"] == "tie":
+            for w, roles in zip(_normalized_tie(smti, m), spec.select or spec.t_sets):
+                woman = index.women[smti.women_labels[w]]
+                if pair_set.issuperset(_role_pairs(inst, info, woman, roles)):
+                    out.append((m, w))
+                    break
+            else:
+                raise ReductionError(f"gadget of {smti.men_labels[m]} {spec.unselected}")
+        else:
+            w = woman_at.get(matched.get(inst.agent_index[info["agents"]["a"]]))
+            if w is None:
+                raise ReductionError(f"agent of {smti.men_labels[m]} not at a woman-hospital")
+            out.append((m, w))
+    projected = SmtiMatching.from_pairs(smti, out)
+    if not is_complete(smti, projected):
+        raise ReductionError("projected matching is not complete")
+    if not is_weakly_stable(smti, projected):
+        raise ReductionError("projected matching is not weakly stable")
+    return projected
 
 
 def lift_occ(
@@ -679,31 +747,7 @@ def lift_occ(
 ) -> Matching:
     """Map a complete weakly stable source matching to an all-agents-matched
     occupancy-stable matching of the occ-target instance. Verifier-checked."""
-    if index.target != "occ":
-        raise ReductionError("index is not from the occ reduction")
-    if not is_complete(smti, matching):
-        raise ReductionError("source matching is not complete")
-    if inst is None:
-        inst, _ = reduce_occ(smti)
-    pairs: list[tuple[int, int]] = []
-    for m, w in enumerate(matching.assign):
-        if smti.has_tie(m):
-            wa, wb = _normalized_tie(smti, m)
-            t_a, t_b = tied_t_sets(smti, index, inst, m)
-            if w == wa:
-                pairs += t_a
-            elif w == wb:
-                pairs += t_b
-            else:
-                raise ReductionError("tied man matched outside his tie")
-        else:
-            pairs += _strict_pairs(smti, index, inst, m, w)
-    lifted = Matching.from_pairs(inst, pairs)
-    if not verify.is_a_perfect(inst, lifted):
-        raise ReductionError("lifted matching leaves an agent unmatched")
-    if not verify.is_occupancy_stable(inst, lifted):
-        raise ReductionError("lifted matching is not occupancy-stable")
-    return lifted
+    return _lift("occ", smti, matching, index, inst)
 
 
 def project_occ(
@@ -714,48 +758,7 @@ def project_occ(
 ) -> SmtiMatching:
     """Read a complete weakly stable source matching off an all-agents-matched
     occupancy-stable matching of the occ-target instance."""
-    if index.target != "occ":
-        raise ReductionError("index is not from the occ reduction")
-    if inst is None:
-        inst, _ = reduce_occ(smti)
-    if not verify.is_a_perfect(inst, matching):
-        raise ReductionError("reduced matching is not all-agents-matched")
-    if not verify.is_occupancy_stable(inst, matching):
-        raise ReductionError("reduced matching is not occupancy-stable")
-    matched = dict(matching.pairs())
-    women_by_h = {v: k for k, v in index.women.items()}
-    out: list[tuple[int, int]] = []
-    for m in range(smti.n_men):
-        info = index.men[smti.men_labels[m]]
-        if info["kind"] == "tie":
-            wa, wb = _normalized_tie(smti, m)
-            a1, _ = _pair(inst, info["agents"]["a1"], info["hospitals"]["h1"])
-            a2, _ = _pair(inst, info["agents"]["a2"], info["hospitals"]["h2"])
-            ha = inst.hospital_index[index.women[smti.women_labels[wa]]]
-            hb = inst.hospital_index[index.women[smti.women_labels[wb]]]
-            if matched.get(a1) == ha:
-                out.append((m, wa))
-            elif matched.get(a2) == hb:
-                out.append((m, wb))
-            else:
-                raise ReductionError(
-                    f"gadget of {smti.men_labels[m]} selects no woman-hospital"
-                )
-        else:
-            a_s = inst.agent_index[info["agents"]["a"]]
-            h = matched.get(a_s)
-            label = inst.hospital_labels[h] if h is not None else None
-            if label not in women_by_h:
-                raise ReductionError(
-                    f"agent of {smti.men_labels[m]} not at a woman-hospital"
-                )
-            out.append((m, smti.women_index[women_by_h[label]]))
-    projected = SmtiMatching.from_pairs(smti, out)
-    if not is_complete(smti, projected):
-        raise ReductionError("projected matching is not complete")
-    if not is_weakly_stable(smti, projected):
-        raise ReductionError("projected matching is not weakly stable")
-    return projected
+    return _project("occ", smti, matching, index, inst)
 
 
 def lift_stable(
@@ -766,29 +769,7 @@ def lift_stable(
 ) -> Matching:
     """Map a complete weakly stable source matching to a stable matching of
     the stable-target instance. Verifier-checked."""
-    if index.target != "stable":
-        raise ReductionError("index is not from the stable reduction")
-    if not is_complete(smti, matching):
-        raise ReductionError("source matching is not complete")
-    if inst is None:
-        inst, _ = reduce_stable(smti)
-    pairs = forced_chain_pairs(smti, index, inst)
-    for m, w in enumerate(matching.assign):
-        if smti.has_tie(m):
-            wa, wb = _normalized_tie(smti, m)
-            t_a, t_b = tied_t_sets(smti, index, inst, m)
-            if w == wa:
-                pairs += t_a
-            elif w == wb:
-                pairs += t_b
-            else:
-                raise ReductionError("tied man matched outside his tie")
-        else:
-            pairs += _strict_pairs(smti, index, inst, m, w)
-    lifted = Matching.from_pairs(inst, pairs)
-    if not verify.is_stable(inst, lifted):
-        raise ReductionError("lifted matching is not stable")
-    return lifted
+    return _lift("stable", smti, matching, index, inst)
 
 
 def project_stable(
@@ -799,41 +780,4 @@ def project_stable(
 ) -> SmtiMatching:
     """Read a complete weakly stable source matching off a stable matching of
     the stable-target instance."""
-    if index.target != "stable":
-        raise ReductionError("index is not from the stable reduction")
-    if inst is None:
-        inst, _ = reduce_stable(smti)
-    if not verify.is_stable(inst, matching):
-        raise ReductionError("reduced matching is not stable")
-    pair_set = set(matching.pairs())
-    matched = dict(matching.pairs())
-    women_by_h = {v: k for k, v in index.women.items()}
-    out: list[tuple[int, int]] = []
-    for m in range(smti.n_men):
-        info = index.men[smti.men_labels[m]]
-        if info["kind"] == "tie":
-            wa, wb = _normalized_tie(smti, m)
-            t_a, t_b = tied_t_sets(smti, index, inst, m)
-            if set(t_a) <= pair_set:
-                out.append((m, wa))
-            elif set(t_b) <= pair_set:
-                out.append((m, wb))
-            else:
-                raise ReductionError(
-                    f"gadget of {smti.men_labels[m]} matches neither alternative"
-                )
-        else:
-            a_s = inst.agent_index[info["agents"]["a"]]
-            h = matched.get(a_s)
-            label = inst.hospital_labels[h] if h is not None else None
-            if label not in women_by_h:
-                raise ReductionError(
-                    f"agent of {smti.men_labels[m]} not at a woman-hospital"
-                )
-            out.append((m, smti.women_index[women_by_h[label]]))
-    projected = SmtiMatching.from_pairs(smti, out)
-    if not is_complete(smti, projected):
-        raise ReductionError("projected matching is not complete")
-    if not is_weakly_stable(smti, projected):
-        raise ReductionError("projected matching is not weakly stable")
-    return projected
+    return _project("stable", smti, matching, index, inst)
