@@ -70,14 +70,18 @@ def test_uniform_gs_proposal_order_invariance():
 
 
 def test_uniform_gs_rejects_mixed_sizes(no_stable_inst):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^class mixes sizes \[1, 2\]$"):
         uniform_gs(no_stable_inst, [0, 2], [1, 2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^negative residual capacity$"):
         uniform_gs(no_stable_inst, [0], [-1, 2])
+    with pytest.raises(ValueError, match="^residual capacity vector has wrong length$"):
+        uniform_gs(no_stable_inst, [0], [1])
 
 
 def test_solve_rejects_invalid_partition(no_stable_inst):
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match="^invalid partition: error at partition: agents not covered: a2, a3$"
+    ):
         solve(no_stable_inst, OrderedPartition(((0,),)))
 
 
