@@ -44,8 +44,21 @@ EXIT_BUDGET = 3
 EXIT_IO = 4
 
 
+def _json_line(payload) -> str:
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when none is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    _write(None, _json_line(payload))
 
 
 def _read_text(path: str) -> str:
@@ -84,9 +97,7 @@ def _cmd_solve(args) -> int:
         return EXIT_PROPERTY_FAILS
     trace = solve(inst, partition)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as f:
-            json.dump(trace_to_json(inst, trace), f, sort_keys=True)
-            f.write("\n")
+        _write(args.trace, _json_line(trace_to_json(inst, trace)))
     _emit(matching_to_json(inst, trace.final))
     return EXIT_OK
 
@@ -132,16 +143,9 @@ def _cmd_reduce(args) -> int:
     smti = reduction.parse_smti(_read_text(args.file))
     builder = reduction.reduce_occ if args.target == "occ" else reduction.reduce_stable
     inst, index = builder(smti)
-    text = serialize_instance(inst)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, serialize_instance(inst))
     if args.index:
-        with open(args.index, "w", encoding="utf-8") as f:
-            json.dump(index.to_json(), f, sort_keys=True)
-            f.write("\n")
+        _write(args.index, _json_line(index.to_json()))
     return EXIT_OK
 
 
@@ -169,12 +173,7 @@ def _cmd_gen(args) -> int:
         seed=args.seed,
         n_ties=args.ties,
     )
-    text = serialize(generate(params))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, serialize(generate(params)))
     return EXIT_OK
 
 
@@ -186,15 +185,9 @@ def _cmd_bench(args) -> int:
     )
     budget = SearchBudget(max_nodes=_default_max_nodes(args))
     report = harness.run_ratio_experiment(params, args.trials, budget, jobs=args.jobs)
-    csv_text = report.to_csv()
+    _write(args.out, report.to_csv())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(csv_text)
-        with open(args.out + ".json", "w", encoding="utf-8") as f:
-            json.dump(report.aggregates, f, sort_keys=True)
-            f.write("\n")
-    else:
-        sys.stdout.write(csv_text)
+        _write(args.out + ".json", _json_line(report.aggregates))
     if report.aggregates["violations"]:
         print("hrs bench: approximation bound violated", file=sys.stderr)
         return EXIT_PROPERTY_FAILS

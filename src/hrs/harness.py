@@ -35,9 +35,6 @@ from .verify import (
     is_stable,
 )
 
-UNIFORM_RANDOM = "uniform_random"
-GEN_MASTER_LIST = "gen_master_list"
-
 
 @dataclass(frozen=True)
 class GenParams:
@@ -50,7 +47,6 @@ class GenParams:
     cap_range: tuple[int, int] = (1, 6)
     density: float = 1.0
     seed: int = 0
-    family: str = UNIFORM_RANDOM
     n_ties: int | None = None
 
     def check(self) -> None:
@@ -412,7 +408,7 @@ _SUITES: dict[str, tuple[GenParams, Callable, Callable, str]] = {
         "solver output admits an occupancy-blocking pair",
     ),
     "gen-ml-stable": (
-        replace(_SMALL, family=GEN_MASTER_LIST), gen_master_list, _ml_output_blocked,
+        _SMALL, gen_master_list, _ml_output_blocked,
         "solver output under a detected ordering admits a blocking pair",
     ),
     "stable-implies-occ": (

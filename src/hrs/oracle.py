@@ -210,28 +210,28 @@ def _search(
 
 
 def _closer(
-    inst: HrsInstance, order: Sequence[int], hospitals: Iterable[int], ranked: bool = False
+    inst: HrsInstance, order: Sequence[int], hospitals: Iterable[int]
 ) -> list[list[tuple[int, int | None]]]:
-    """The close checks of a ``_search`` over ``order``: the k-th list holds
-    the (hospital, agent) tests of the pairs final once the first k agents
-    are placed. Agents outside ``order`` count as placed from the start. A
-    hospital's pairs are all final at its last listing agent: one test
-    (h, None). With ``ranked`` (classic stability only), a pair (b, h) is
-    also final once b and every agent h ranks above b are placed: whether it
-    blocks depends on b's hospital and h's residents above b alone, since a
-    resident below b adds as much to what evicting can free as it takes from
-    h's room. It is tested there, (h, b), when that comes earlier."""
+    """The ranked close checks of a classic ``_search`` over ``order``: the
+    k-th list holds the (hospital, agent) tests of the pairs final once the
+    first k agents are placed. Agents outside ``order`` count as placed from
+    the start. A hospital's pairs are all final at its last listing agent: one
+    test (h, None). A pair (b, h) is also final once b and every agent h ranks
+    above b are placed: whether it blocks depends on b's hospital and h's
+    residents above b alone, since a resident below b adds as much to what
+    evicting can free as it takes from h's room. It is tested there, (h, b),
+    when that comes earlier."""
     placed = dict(zip(order, itertools.count(1)))
     final: list[list[tuple[int, int | None]]] = [[] for _ in range(len(order) + 1)]
     for h in hospitals:
         listed = inst.hospital_prefs[h]
         if listed:
-            last = max(map(placed.get, listed, _ZEROS))
-            if ranked:
-                for b, k in zip(listed, itertools.accumulate(map(placed.get, listed, _ZEROS), max)):
-                    if k == last:
-                        break
-                    final[k].append((h, b))
+            reach = list(itertools.accumulate(map(placed.get, listed, _ZEROS), max))
+            last = reach[-1]
+            for b, k in zip(listed, reach):
+                if k == last:
+                    break
+                final[k].append((h, b))
             final[last].append((h, None))
     return final
 
@@ -257,7 +257,12 @@ def _stable_leaves(
 ) -> Iterator[tuple[list[int], int]]:
     """The plain search with the close check of ``kind``: it cuts every
     branch with a blocking pair, so each leaf is a matching with none."""
-    close = _closer(inst, range(inst.n_agents), range(inst.n_hospitals))
+    # agents are placed in index order, so a hospital's pairs are all final
+    # once its highest listing agent is placed: one test (h, None) there
+    close: list[list[tuple[int, int | None]]] = [[] for _ in range(inst.n_agents + 1)]
+    for h, listed in enumerate(inst.hospital_prefs):
+        if listed:
+            close[max(listed) + 1].append((h, None))
     test = partial(verify._hospital_blocks, inst, verify._eviction_mask(inst.sizes, kind))
     return _search(inst.sizes, inst.caps, inst.agent_prefs, ticker, perfect, floor, close, test)
 
@@ -455,7 +460,7 @@ def _stable_decomposed(inst: HrsInstance, budget: SearchBudget) -> OracleResult:
         for agents, hospitals in comps:
             order = sorted(agents, key=position.__getitem__)
             leaves = _search(
-                inst.sizes, inst.caps, inst.agent_prefs, ticker, close=_closer(inst, order, hospitals, True),
+                inst.sizes, inst.caps, inst.agent_prefs, ticker, close=_closer(inst, order, hospitals),
                 blocks=test, order=order, assign=assign, occ=occ,
             )
             sols = [tuple(leaf[a] for a in agents) for leaf, _ in itertools.islice(leaves, limit)]

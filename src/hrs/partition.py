@@ -46,13 +46,17 @@ class OrderedPartition:
         return len(self.classes)
 
 
-def size_descending_partition(inst: HrsInstance) -> OrderedPartition:
-    """Group agents by size, largest size first."""
+def _size_classes(inst: HrsInstance) -> list[list[int]]:
+    """The agents grouped by size, largest size first, each group ascending."""
     by_size: dict[int, list[int]] = {}
     for a, s in enumerate(inst.sizes):
         by_size.setdefault(s, []).append(a)
-    classes = tuple(tuple(by_size[s]) for s in sorted(by_size, reverse=True))
-    return OrderedPartition(classes, SIZE_DESCENDING)
+    return [by_size[s] for s in sorted(by_size, reverse=True)]
+
+
+def size_descending_partition(inst: HrsInstance) -> OrderedPartition:
+    """Group agents by size, largest size first."""
+    return OrderedPartition(tuple(map(tuple, _size_classes(inst))), SIZE_DESCENDING)
 
 
 def master_list_partition(inst: HrsInstance, order: Sequence[int]) -> OrderedPartition:

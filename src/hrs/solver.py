@@ -1,25 +1,32 @@
 """Round-based solver: deferred acceptance over an ordered agent partition.
 
-The solver walks the partition classes in order. For class k it computes each
-hospital's residual capacity (capacity minus occupancy accumulated so far),
-restricts the graph to the class agents, and runs agent-proposing deferred
-acceptance there; because all agents in a class share one size s, a hospital
-with residual capacity r behaves exactly like a classic hospital with
-floor(r / s) slots. Round matchings accumulate by union into the final result.
+The solver walks the partition classes in order. For class k it restricts the
+graph to the class agents and runs agent-proposing deferred acceptance there
+on each hospital's residual capacity (capacity minus occupancy accumulated so
+far); because all agents in a class share one size s, a hospital with residual
+capacity r behaves exactly like a classic hospital with floor(r / s) slots.
+Round matchings accumulate by union into the final result.
+
+Every entry point runs one kernel, ``_Kernel``: its per-hospital and per-agent
+state is allocated once per call, and a round resets only the hospitals its
+agents proposed to, so a round costs time in proportion to its class's agents
+and their edges. ``solve_occupancy`` runs the size classes, largest first, on
+that kernel over one assignment and one residual-capacity vector, with no
+trace: linear time in the instance.
 
 Run with the size-descending partition, the final matching is always
 occupancy-stable and its total size is within a factor 3 of the best
 occupancy-stable matching. Run with any partition the hospital lists follow
 (a generalized master list), the final matching is stable outright.
 
-The full trace (per-round agents, residual capacities, round and cumulative
-matchings) is returned so the round invariants can be audited. It holds no
+``solve`` returns the full trace (per-round agents, residual capacities, round
+and cumulative matchings) so the round invariants can be audited. It holds no
 edge sets: a round's subgraph is every edge of its agents, so round subgraphs
 are disjoint because the validated partition's classes are. The audit checks
 that each round runs its class on the capacities left by the rounds before,
 that the final matching is exactly the union of the round matchings, that
 occupancy never decreases, and that no round has a blocking pair within its
-subgraph and capacities. One round costs time proportional to its edges.
+subgraph and capacities. One round's audit costs time proportional to its edges.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .model import (
     matching_to_json,
     occupancies,
 )
-from .partition import OrderedPartition, size_descending_partition, validate_ordered_partition
+from .partition import OrderedPartition, _size_classes, validate_ordered_partition
 from .verify import _residual_pairs
 
 
@@ -58,6 +65,77 @@ class SolveTrace:
     final: Matching
 
 
+class _Kernel:
+    """Agent-proposing deferred acceptance, one size class per round, on the
+    residual capacities in ``room``, which each round lowers by what it fills.
+
+    ``slots[h]`` is h's free whole slots this round, -1 until h's first
+    proposal; ``accepted[h]`` is a heap of (negated rank, agent) whose top is
+    the worst. Both are reset after a round for the hospitals it proposed to
+    only, and ``ptr[a]`` (a's next list position) is never reset, so the
+    classes of one kernel must be disjoint."""
+
+    __slots__ = ("prefs", "ranks", "room", "slots", "accepted", "ptr")
+
+    def __init__(self, inst: HrsInstance, room: list[int]):
+        self.prefs = inst.agent_prefs
+        self.ranks = inst.agent_pref_hranks_neg
+        self.room = room
+        self.slots = [-1] * inst.n_hospitals
+        self.accepted: list[list[tuple[int, int]]] = [[] for _ in range(inst.n_hospitals)]
+        self.ptr = [0] * inst.n_agents
+
+    def round(self, agents: Sequence[int], s: int, assign: list[int]) -> None:
+        """Run the class ``agents``, all of size ``s``, and write each matched
+        agent's hospital into ``assign``. A hospital with no whole slot left
+        is skipped rather than removed, so ``room`` never goes negative."""
+        prefs, ranks, room = self.prefs, self.ranks, self.room
+        slots, accepted, ptr = self.slots, self.accepted, self.ptr
+        proposed: list[int] = []
+        mark = proposed.append
+        queue = deque(agents)
+        pop = queue.popleft
+        push_back = queue.append
+        while queue:
+            a = pop()
+            lst = prefs[a]
+            rk = ranks[a]
+            end = len(lst)
+            i = ptr[a]
+            while i < end:
+                h = lst[i]
+                i += 1
+                free = slots[h]
+                if not free:  # full, or no whole slot
+                    heap = accepted[h]
+                    if heap:  # a displaces the worst if h ranks a higher
+                        neg_rank = rk[i - 1]
+                        top = heap[0]
+                        if neg_rank > top[0]:
+                            heapreplace(heap, (neg_rank, a))
+                            push_back(top[1])
+                            break
+                    continue
+                if free < 0:  # h's first proposal this round
+                    free = room[h] // s
+                    mark(h)
+                    if not free:
+                        slots[h] = 0
+                        continue
+                heappush(accepted[h], (rk[i - 1], a))
+                slots[h] = free - 1
+                break
+            ptr[a] = i
+        for h in proposed:
+            heap = accepted[h]
+            if heap:
+                for _, a in heap:
+                    assign[a] = h
+                room[h] -= s * len(heap)
+                heap.clear()
+            slots[h] = -1
+
+
 def uniform_gs(
     inst: HrsInstance, class_agents: Sequence[int], residual_caps: Sequence[int]
 ) -> Matching:
@@ -68,55 +146,17 @@ def uniform_gs(
     A hospital with residual capacity r offers floor(r / s) slots to agents of
     size s; hospitals with no whole slot are skipped rather than removed.
     """
-    residual_caps = list(residual_caps)
-    if len(residual_caps) != inst.n_hospitals:
+    room = list(residual_caps)
+    if len(room) != inst.n_hospitals:
         raise ValueError("residual capacity vector has wrong length")
-    if any(r < 0 for r in residual_caps):
+    if any(r < 0 for r in room):
         raise ValueError("negative residual capacity")
     assign = [UNMATCHED] * inst.n_agents
-    if not class_agents:
-        return Matching(assign)
-    sizes = {inst.sizes[a] for a in class_agents}
-    if len(sizes) != 1:
-        raise ValueError(f"class mixes sizes {sorted(sizes)}")
-    s = sizes.pop()
-    slots = [r // s for r in residual_caps]
-    prefs = inst.agent_prefs
-    edge_ranks = inst.agent_pref_hranks_neg
-    # accepted[h] is a heap of (negated rank, agent): the top is the worst
-    accepted: list[list[tuple[int, int]]] = [[] for _ in range(inst.n_hospitals)]
-    fill = [0] * inst.n_hospitals
-    ptr = [0] * inst.n_agents
-    queue = deque(class_agents)
-    pop = queue.popleft
-    push_back = queue.append
-    while queue:
-        a = pop()
-        lst = prefs[a]
-        ranks = edge_ranks[a]
-        end = len(lst)
-        i = ptr[a]
-        while i < end:
-            h = lst[i]
-            cap = slots[h]
-            i += 1
-            if cap == 0:
-                continue  # no whole slot
-            neg_rank = ranks[i - 1]
-            heap = accepted[h]
-            if fill[h] < cap:
-                heappush(heap, (neg_rank, a))
-                fill[h] += 1
-                break
-            top = heap[0]
-            if neg_rank > top[0]:
-                heapreplace(heap, (neg_rank, a))
-                push_back(top[1])
-                break
-        ptr[a] = i
-    for h, heap in enumerate(accepted):
-        for _, a in heap:
-            assign[a] = h
+    if class_agents:
+        sizes = {inst.sizes[a] for a in class_agents}
+        if len(sizes) != 1:
+            raise ValueError(f"class mixes sizes {sorted(sizes)}")
+        _Kernel(inst, room).round(class_agents, sizes.pop(), assign)
     return Matching(assign)
 
 
@@ -125,30 +165,37 @@ def solve(inst: HrsInstance, partition: OrderedPartition) -> SolveTrace:
     report = validate_ordered_partition(inst, partition)
     if not report.ok:
         raise ValueError(f"invalid partition: {report.summary()}")
-    caps = inst.caps
+    room = list(inst.caps)
+    kernel = _Kernel(inst, room)
     cum_assign = [UNMATCHED] * inst.n_agents
-    cum_occ = [0] * inst.n_hospitals
     rounds: list[SolveRound] = []
     cumulative: list[Matching] = []
     for k, cls in enumerate(partition.classes, start=1):
-        residual = tuple(caps[h] - cum_occ[h] for h in range(inst.n_hospitals))
-        round_matching = uniform_gs(inst, cls, residual)
-        round_assign = round_matching.assign
+        residual = tuple(room)
+        round_assign = [UNMATCHED] * inst.n_agents
+        kernel.round(cls, inst.sizes[cls[0]], round_assign)  # a valid class is nonempty
         for a in cls:
             h = round_assign[a]
             if h != UNMATCHED:
                 cum_assign[a] = h
-                cum_occ[h] += inst.sizes[a]
-        rounds.append(SolveRound(k, cls, residual, round_matching))
+        rounds.append(SolveRound(k, cls, residual, Matching(round_assign)))
         cumulative.append(Matching(cum_assign))
     final = cumulative[-1] if cumulative else Matching.empty(inst)
     return SolveTrace(partition, tuple(rounds), tuple(cumulative), final)
 
 
 def solve_occupancy(inst: HrsInstance) -> Matching:
-    """Occupancy-stable matching: run the rounds on the size-descending
-    partition (largest agents first)."""
-    return solve(inst, size_descending_partition(inst)).final
+    """Occupancy-stable matching: the rounds of the size-descending partition
+    (largest agents first), run on one kernel with no trace, in time linear in
+    the instance. The size classes are a disjoint cover with one size each by
+    construction, so there is no partition to validate; the result equals
+    ``solve(inst, size_descending_partition(inst)).final``."""
+    assign = [UNMATCHED] * inst.n_agents
+    kernel = _Kernel(inst, list(inst.caps))
+    sizes = inst.sizes
+    for cls in _size_classes(inst):
+        kernel.round(cls, sizes[cls[0]], assign)
+    return Matching(assign)
 
 
 def check_trace(inst: HrsInstance, trace: SolveTrace) -> ValidationReport:

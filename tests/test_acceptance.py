@@ -167,7 +167,6 @@ def test_criterion_6_generalized_ordering_stability():
                 cap_range=(1, 6),
                 density=rng.choice([0.4, 0.7, 1.0]),
                 seed=8_000_000 + i,
-                family="gen_master_list",
             )
             inst = gen_master_list(params)
             partition = detect_generalized_master_list(inst)

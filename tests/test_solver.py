@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -238,10 +239,75 @@ def test_uniform_gs_rejects_size_zero():
         HrsInstance(["a1"], [0], [[0]], ["h1"], [1], [[0]])
 
 
+def edge_case_instances(count: int, seed: int):
+    """Small instances built to reach the solver's corner cases: all-distinct
+    sizes, agents with empty lists, agents larger than every capacity on their
+    list, and size classes that list only some of the hospitals."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n_agents, n_hospitals = rng.randint(1, 8), rng.randint(1, 5)
+        caps = [rng.randint(1, 6) for _ in range(n_hospitals)]
+        kind = i % 4
+        if kind == 0:
+            sizes = rng.sample(range(1, 10), n_agents)
+        else:
+            sizes = [rng.randint(1, 3) for _ in range(n_agents)]
+        agent_prefs = []
+        for a in range(n_agents):
+            listed = [h for h in range(n_hospitals) if rng.random() < 0.7]
+            if kind == 1 and rng.random() < 0.4:
+                listed = []
+            if kind == 3:  # a class proposes only to hospitals of its parity
+                listed = [h for h in listed if h % 2 == sizes[a] % 2]
+            rng.shuffle(listed)
+            agent_prefs.append(listed)
+            if kind == 2 and listed and rng.random() < 0.5:
+                sizes[a] = max(caps[h] for h in listed) + rng.randint(1, 3)
+        hospital_prefs = [[] for _ in range(n_hospitals)]
+        for a, listed in enumerate(agent_prefs):
+            for h in listed:
+                hospital_prefs[h].append(a)
+        for listed in hospital_prefs:
+            rng.shuffle(listed)
+        yield HrsInstance(
+            [f"a{a}" for a in range(n_agents)], sizes, agent_prefs,
+            [f"h{h}" for h in range(n_hospitals)], caps, hospital_prefs,
+        )
+
+
 def test_solver_occupancy_stable_sweep():
-    for inst in small_random_instances(150, seed=29, max_agents=6, max_hospitals=4):
+    instances = list(small_random_instances(150, seed=29, max_agents=6, max_hospitals=4))
+    instances += edge_case_instances(200, seed=31)
+    for inst in instances:
         m = solve_occupancy(inst)
         assert find_occupancy_blocking_pairs(inst, m) == []
+        assert m == solve(inst, size_descending_partition(inst)).final
+
+
+def test_solve_occupancy_is_linear_in_distinct_sizes():
+    # one size class per agent: a round that touched state sized by the whole
+    # instance would make this quadratic (seconds, not milliseconds)
+    n = 4_000
+    rng = random.Random(41)
+    sizes = list(range(1, n + 1))
+    rng.shuffle(sizes)
+    agent_prefs = [rng.sample(range(n), 5) for _ in range(n)]
+    hospital_prefs = [[] for _ in range(n)]
+    for a, listed in enumerate(agent_prefs):
+        for h in listed:
+            hospital_prefs[h].append(a)
+    for listed in hospital_prefs:
+        rng.shuffle(listed)
+    caps = [rng.randint(1, n) for _ in range(n)]
+    inst = HrsInstance(
+        [f"a{a}" for a in range(n)], sizes, agent_prefs,
+        [f"h{h}" for h in range(n)], caps, hospital_prefs,
+    )
+    start = time.process_time()
+    m = solve_occupancy(inst)
+    elapsed = time.process_time() - start
+    assert elapsed < 1.0, f"solve_occupancy took {elapsed:.2f} s of CPU"
+    assert matching_size(inst, m) > 0
 
 
 def test_solver_stable_under_detected_ordering():
