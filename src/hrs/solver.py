@@ -12,7 +12,7 @@ state is allocated once per call, and a round resets only the hospitals its
 agents proposed to, so a round costs time in proportion to its class's agents
 and their edges. ``solve_occupancy`` runs the size classes, largest first, on
 that kernel over one assignment and one residual-capacity vector, with no
-trace: linear time in the instance.
+trace: time linear in the edges, up to the accepted heaps' log factor.
 
 Run with the size-descending partition, the final matching is always
 occupancy-stable and its total size is within a factor 3 of the best
@@ -187,8 +187,9 @@ def solve(inst: HrsInstance, partition: OrderedPartition) -> SolveTrace:
 def solve_occupancy(inst: HrsInstance) -> Matching:
     """Occupancy-stable matching: the rounds of the size-descending partition
     (largest agents first), run on one kernel with no trace, in time linear in
-    the instance. The size classes are a disjoint cover with one size each by
-    construction, so there is no partition to validate; the result equals
+    the edges up to the heaps' log factor. The size classes are a disjoint
+    cover with one size each by construction, so there is no partition to
+    validate; the result equals
     ``solve(inst, size_descending_partition(inst)).final``."""
     assign = [UNMATCHED] * inst.n_agents
     kernel = _Kernel(inst, list(inst.caps))
