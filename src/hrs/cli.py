@@ -117,25 +117,23 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not witnesses else EXIT_PROPERTY_FAILS
 
 
+# CLI query name -> oracle query
+_QUERIES = {
+    "stable": oracle.stable_matchings,
+    "occ-stable": oracle.occupancy_stable_matchings,
+    "max-occ": oracle.max_occupancy_stable,
+    "a-perfect": oracle.exists_a_perfect_occupancy_stable,
+}
+
+
 def _cmd_oracle(args) -> int:
     inst = parse_instance(_read_text(args.file))
     budget = SearchBudget(max_nodes=_default_max_nodes(args), max_solutions=args.max_solutions)
-    if args.strategy == "decompose" and args.query != "stable":
-        print("hrs oracle: --strategy decompose supports only --query stable", file=sys.stderr)
-        return EXIT_USAGE
-    if args.query == "stable":
-        result = oracle.stable_matchings(inst, budget, strategy=args.strategy)
-    elif args.query == "occ-stable":
-        result = oracle.occupancy_stable_matchings(inst, budget)
-    elif args.query == "max-occ":
-        result = oracle.max_occupancy_stable(inst, budget)
-    else:  # a-perfect
-        result = oracle.exists_a_perfect_occupancy_stable(inst, budget)
-        payload = result.to_json(inst)
+    result = _QUERIES[args.query](inst, budget)
+    payload = result.to_json(inst)
+    if args.query == "a-perfect":
         payload["exists"] = bool(result.matchings)
-        _emit(payload)
-        return EXIT_OK if result.complete else EXIT_BUDGET
-    _emit(result.to_json(inst))
+    _emit(payload)
     return EXIT_OK if result.complete else EXIT_BUDGET
 
 
@@ -226,12 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive queries on small instances")
     p.add_argument("file")
-    p.add_argument("--query", choices=["stable", "occ-stable", "max-occ", "a-perfect"],
-                   required=True)
+    p.add_argument("--query", choices=list(_QUERIES), required=True)
     p.add_argument("--max-nodes", type=int, default=None,
                    help="search node budget (default: HRS_MAX_NODES or 10^7)")
     p.add_argument("--max-solutions", type=int, default=None)
-    p.add_argument("--strategy", choices=["plain", "decompose"], default="plain")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("reduce", help="build a hardness-gadget instance from a marriage instance")

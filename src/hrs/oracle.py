@@ -5,24 +5,26 @@ agents one position at a time, each on a hospital of its list with enough
 residual capacity or nowhere (tried last, and not at all for ``a-perfect``),
 and counts one node per descent. Whether a pair (b, h) blocks depends only on
 b's hospital and h's residents, so it is final once b and every agent that may
-still be placed at h are placed: in the plain search, at h's last listing
-agent. At each position a close check tests the pairs that have just become
-final, through ``verify._hospital_blocks``, and cuts the branch when one
-blocks, so every leaf is unblocked. ``max-occ`` also cuts a branch once its
-matched size plus the sizes of all agents still to come cannot beat the best
-value found. Every bound in the budget (node count, wall clock, solution cap)
-aborts the sweep with an explicit ``budget_exhausted`` verdict.
+still be placed at h are placed. At each position a close check tests the
+pairs that have just become final, through ``verify._hospital_blocks``, and
+cuts the branch when one blocks, so every leaf is unblocked. Every bound in
+the budget (node count, wall clock, solution cap) aborts the sweep with an
+explicit ``budget_exhausted`` verdict.
 
-The plain search places agents by index. The ``decompose`` strategy for the
-stable-matching query searches each connected component of the instance
-alone, and places its agents in a closing order (``_closing_order``): next
-is the agent that closes the most hospitals, so their pairs become final
-early. Classic stability also makes a pair (b, h) final as soon as b and the
-agents h ranks above b are placed, and decompose tests it there. The stable
-matchings are the product of the components' stable assignments, and a
-component with none settles the query at once. There is no interface
-choice: ``interfaces=`` is accepted and ignored, and ``auto_interfaces``
-returns ``[]``.
+Canonical order compares matchings agent by agent, by each agent's hospital's
+position on that agent's list, unmatched last: the order in which a search
+that places agents by index finds them. The occupancy queries run that
+search (``_stable_leaves``), testing a hospital at its last listing agent.
+``max-occ`` also cuts a branch once its matched size plus the sizes of all
+agents still to come cannot beat the best value found.
+
+The stable-matching query searches each connected component of the instance
+alone, and places its agents in a closing order (``_closing_order``): next is
+the agent that closes the most hospitals, so their pairs become final early.
+Classic stability also makes a pair (b, h) final as soon as b and the agents
+h ranks above b are placed, and the search tests it there. The stable
+matchings are the product of the components' stable assignments, sorted in
+canonical order, and a component with none settles the query at once.
 """
 
 from __future__ import annotations
@@ -40,9 +42,6 @@ from . import verify
 
 COMPLETE = "complete"
 EXHAUSTED = "budget_exhausted"
-
-PLAIN = "plain"
-DECOMPOSE = "decompose"
 
 _ZEROS = itertools.repeat(0)  # map(d.get, keys, _ZEROS) reads 0 for a missing key
 
@@ -255,8 +254,9 @@ def _stable_leaves(
     inst: HrsInstance, kind: str, ticker: _Ticker, perfect: bool = False,
     floor: list[int] | None = None,
 ) -> Iterator[tuple[list[int], int]]:
-    """The plain search with the close check of ``kind``: it cuts every
-    branch with a blocking pair, so each leaf is a matching with none."""
+    """The index-order search with the close check of ``kind``: it cuts every
+    branch with a blocking pair, so each leaf is a matching with none, and
+    the leaves come in canonical order."""
     # agents are placed in index order, so a hospital's pairs are all final
     # once its highest listing agent is placed: one test (h, None) there
     close: list[list[tuple[int, int | None]]] = [[] for _ in range(inst.n_agents + 1)]
@@ -267,12 +267,70 @@ def _stable_leaves(
     return _search(inst.sizes, inst.caps, inst.agent_prefs, ticker, perfect, floor, close, test)
 
 
-def _all_unblocked(inst: HrsInstance, budget: SearchBudget, kind: str) -> OracleResult:
+def stable_matchings(
+    inst: HrsInstance,
+    budget: SearchBudget | None = None,
+    strategy: str | None = None,
+    interfaces: Sequence[int] | None = None,
+) -> OracleResult:
+    """All stable matchings, in canonical order: the product of each connected
+    component's, each component searched alone in closing order with ranked
+    close checks. A component with no stable assignment settles the query at
+    once. Under a ``max_solutions`` cap of k the search returns the first k
+    matchings it finds, in canonical order; they need not be the first k of
+    the uncapped list. ``strategy`` and ``interfaces`` are accepted and
+    ignored, for callers of the retired strategy switch and interface sweep."""
+    budget = budget or SearchBudget()
+    ticker = _Ticker(budget)
+    # a component with this many solutions lets the product reach the cap
+    limit = None if budget.max_solutions is None else max(budget.max_solutions, 1)
+    test = partial(verify._hospital_blocks, inst, verify._eviction_mask(inst.sizes, verify.CLASSIC))
+    position = [0] * inst.n_agents
+    for p, a in enumerate(_closing_order(inst)):
+        position[a] = p
+    # components share no agent or hospital, so their searches share one
+    # assign and occ, even where a search stopped at the cap leaves its own set
+    assign, occ = [UNMATCHED] * inst.n_agents, [0] * inst.n_hospitals
+    comps = _components(inst)
+    solutions: list[list[tuple[int, ...]]] = []
+    try:
+        for agents, hospitals in comps:
+            order = sorted(agents, key=position.__getitem__)
+            leaves = _search(
+                inst.sizes, inst.caps, inst.agent_prefs, ticker, close=_closer(inst, order, hospitals),
+                blocks=test, order=order, assign=assign, occ=occ,
+            )
+            sols = [tuple(leaf[a] for a in agents) for leaf, _ in itertools.islice(leaves, limit)]
+            if not sols:
+                return OracleResult(COMPLETE, [], None, ticker.nodes)
+            solutions.append(sols)
+    except BudgetExhausted:
+        return OracleResult(EXHAUSTED, [], None, ticker.nodes)
+    found: list[Matching] = []
+    out = [UNMATCHED] * inst.n_agents
+    for combo in itertools.islice(itertools.product(*solutions), limit):
+        for (agents, _), sol in zip(comps, combo):
+            for a, h in zip(agents, sol):
+                out[a] = h
+        found.append(Matching(out))
+    # every list position is below n_hospitals, so unmatched (no rank) sorts last
+    past = itertools.repeat(inst.n_hospitals)
+    found.sort(key=lambda m: list(map(dict.get, inst.agent_rank, m.assign, past)))
+    capped = limit is not None and len(found) >= budget.max_solutions
+    return OracleResult(EXHAUSTED if capped else COMPLETE, found, None, ticker.nodes)
+
+
+def occupancy_stable_matchings(
+    inst: HrsInstance, budget: SearchBudget | None = None
+) -> OracleResult:
+    """All occupancy-stable matchings, in canonical order; nonempty whenever
+    the sweep completes."""
+    budget = budget or SearchBudget()
     ticker = _Ticker(budget)
     found: list[Matching] = []
     verdict = COMPLETE
     try:
-        for assign, _ in _stable_leaves(inst, kind, ticker):
+        for assign, _ in _stable_leaves(inst, verify.OCCUPANCY, ticker):
             found.append(Matching(assign))
             if budget.max_solutions is not None and len(found) >= budget.max_solutions:
                 verdict = EXHAUSTED
@@ -280,33 +338,6 @@ def _all_unblocked(inst: HrsInstance, budget: SearchBudget, kind: str) -> Oracle
     except BudgetExhausted:
         verdict = EXHAUSTED
     return OracleResult(verdict, found, None, ticker.nodes)
-
-
-def stable_matchings(
-    inst: HrsInstance,
-    budget: SearchBudget | None = None,
-    strategy: str = PLAIN,
-    interfaces: Sequence[int] | None = None,
-) -> OracleResult:
-    """All stable matchings, in canonical order. ``strategy=decompose``
-    answers the same query component by component; ``interfaces`` is
-    accepted and ignored. Under a ``max_solutions`` cap of k, decompose
-    returns k stable matchings in canonical order, but which k may differ
-    from the plain strategy's and from versions before the component split:
-    the first k its search finds."""
-    budget = budget or SearchBudget()
-    if strategy == DECOMPOSE:
-        return _stable_decomposed(inst, budget)
-    if strategy != PLAIN:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return _all_unblocked(inst, budget, verify.CLASSIC)
-
-
-def occupancy_stable_matchings(
-    inst: HrsInstance, budget: SearchBudget | None = None
-) -> OracleResult:
-    """All occupancy-stable matchings; nonempty whenever the sweep completes."""
-    return _all_unblocked(inst, budget or SearchBudget(), verify.OCCUPANCY)
 
 
 def max_occupancy_stable(
@@ -368,7 +399,7 @@ def smti_complete_stable(smti: SmtiInstance) -> SmtiMatching | None:
     return None
 
 
-# --- decomposition strategy ---------------------------------------------------
+# --- components and closing order -------------------------------------------
 
 
 def _components(inst: HrsInstance) -> list[tuple[list[int], list[int]]]:
@@ -438,44 +469,3 @@ def auto_interfaces(inst: HrsInstance, max_block_agents: int = 12) -> list[int]:
     """Always ``[]``. Kept for callers of the retired interface sweep:
     ``stable_matchings`` accepts ``interfaces=`` and ignores it."""
     return []
-
-
-def _stable_decomposed(inst: HrsInstance, budget: SearchBudget) -> OracleResult:
-    """The stable matchings as the product of each connected component's,
-    each component searched alone in closing order with ranked close checks.
-    A component with no stable assignment settles the query at once."""
-    ticker = _Ticker(budget)
-    # a component with this many solutions lets the product reach the cap
-    limit = None if budget.max_solutions is None else max(budget.max_solutions, 1)
-    test = partial(verify._hospital_blocks, inst, verify._eviction_mask(inst.sizes, verify.CLASSIC))
-    position = [0] * inst.n_agents
-    for p, a in enumerate(_closing_order(inst)):
-        position[a] = p
-    # components share no agent or hospital, so their searches share one
-    # assign and occ, even where a search stopped at the cap leaves its own set
-    assign, occ = [UNMATCHED] * inst.n_agents, [0] * inst.n_hospitals
-    comps = _components(inst)
-    solutions: list[list[tuple[int, ...]]] = []
-    try:
-        for agents, hospitals in comps:
-            order = sorted(agents, key=position.__getitem__)
-            leaves = _search(
-                inst.sizes, inst.caps, inst.agent_prefs, ticker, close=_closer(inst, order, hospitals),
-                blocks=test, order=order, assign=assign, occ=occ,
-            )
-            sols = [tuple(leaf[a] for a in agents) for leaf, _ in itertools.islice(leaves, limit)]
-            if not sols:
-                return OracleResult(COMPLETE, [], None, ticker.nodes)
-            solutions.append(sols)
-    except BudgetExhausted:
-        return OracleResult(EXHAUSTED, [], None, ticker.nodes)
-    found: list[Matching] = []
-    out = [UNMATCHED] * inst.n_agents
-    for combo in itertools.islice(itertools.product(*solutions), limit):
-        for (agents, _), sol in zip(comps, combo):
-            for a, h in zip(agents, sol):
-                out[a] = h
-        found.append(Matching(out))
-    found.sort(key=lambda m: m.assign)
-    capped = limit is not None and len(found) >= budget.max_solutions
-    return OracleResult(EXHAUSTED if capped else COMPLETE, found, None, ticker.nodes)

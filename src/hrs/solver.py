@@ -46,7 +46,7 @@ from .model import (
     occupancies,
 )
 from .partition import OrderedPartition, _size_classes, validate_ordered_partition
-from .verify import _residual_pairs
+from .verify import _agent_lists, _residual_pairs
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,7 @@ def uniform_gs(
 
     A hospital with residual capacity r offers floor(r / s) slots to agents of
     size s; hospitals with no whole slot are skipped rather than removed.
+    ``class_agents`` must be distinct agents, in range, of one size.
     """
     room = list(residual_caps)
     if len(room) != inst.n_hospitals:
@@ -152,8 +153,15 @@ def uniform_gs(
     if any(r < 0 for r in room):
         raise ValueError("negative residual capacity")
     assign = [UNMATCHED] * inst.n_agents
-    if class_agents:
-        sizes = {inst.sizes[a] for a in class_agents}
+    seen: set[int] = set()
+    for a in class_agents:
+        if not 0 <= a < inst.n_agents:
+            raise ValueError(f"class agent index {a} out of range")
+        if a in seen:
+            raise ValueError(f"class repeats agent {inst.agent_labels[a]}")
+        seen.add(a)
+    if seen:
+        sizes = {inst.sizes[a] for a in seen}
         if len(sizes) != 1:
             raise ValueError(f"class mixes sizes {sorted(sizes)}")
         _Kernel(inst, room).round(class_agents, sizes.pop(), assign)
@@ -226,14 +234,8 @@ def check_trace(inst: HrsInstance, trace: SolveTrace) -> ValidationReport:
         loc = f"round {rnd.index}"
         if tuple(sorted(rnd.agents)) != tuple(sorted(cls)):
             report.add("error", loc, "round agents differ from partition class")
-        agent_set = set(rnd.agents)
-        agents = sorted(agent_set)
-        if agents and (agents[0] < 0 or agents[-1] >= n_agents):
-            agents = [a for a in agents if 0 <= a < n_agents]
         assign = rnd.matching.assign
-        matched = [a for a in agents if assign[a] != UNMATCHED]
-        if len(matched) != len(assign) - assign.count(UNMATCHED):
-            matched = rnd.matching.matched_agents()  # some match lies outside the class
+        agent_set, agents, matched = _agent_lists(n_agents, assign, rnd.agents)
         round_matched.append(matched)
         for a in matched:
             h = assign[a]

@@ -310,16 +310,27 @@ def find_blocking_pairs_residual(
     plus C-speed passes over the capacity and assignment vectors, so auditing
     every round of a solve costs about one full scan.
     """
-    n_agents = inst.n_agents
-    agent_set = {a for a in agents if 0 <= a < n_agents}
-    agents = sorted(agent_set)
     assign = matching.assign
-    matched = [a for a in agents if assign[a] != UNMATCHED]
+    lists = _agent_lists(inst.n_agents, assign, agents)
+    return _residual_pairs(inst, assign, residual_caps, *lists)
+
+
+def _agent_lists(
+    n_agents: int, assign: Sequence[int], agents: Iterable[int]
+) -> tuple[set[int], list[int], list[int]]:
+    """The given agents in range, as a set and ascending, and the matched ones
+    among them in that order. When some matched agent lies outside them, every
+    matched agent instead, so the report names the same first fault as a full
+    scan would."""
+    agent_set = set(agents)
+    ordered = sorted(agent_set)
+    if ordered and (ordered[0] < 0 or ordered[-1] >= n_agents):
+        ordered = [a for a in ordered if 0 <= a < n_agents]
+        agent_set = set(ordered)
+    matched = [a for a in ordered if assign[a] != UNMATCHED]
     if len(matched) != len(assign) - assign.count(UNMATCHED):
-        # some matched agent lies outside the given ones: check every agent so
-        # the report names the same first fault as a full scan would
         matched = [a for a, h in enumerate(assign) if h != UNMATCHED]
-    return _residual_pairs(inst, assign, residual_caps, agent_set, agents, matched)
+    return agent_set, ordered, matched
 
 
 def _residual_pairs(
@@ -330,9 +341,8 @@ def _residual_pairs(
     agents: list[int],
     matched: list[int],
 ) -> list[BlockingWitness]:
-    """``find_blocking_pairs_residual`` once its agents are known: the given
-    ones as a set and, in range, ascending, and the matched ones among them
-    in that order, or every matched agent when some lies outside them."""
+    """``find_blocking_pairs_residual`` once ``_agent_lists`` has listed its
+    agents."""
     residual_caps = list(residual_caps)
     if len(residual_caps) != inst.n_hospitals:
         raise ValueError("residual capacity vector has wrong length")

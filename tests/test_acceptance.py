@@ -269,7 +269,7 @@ def test_criterion_9_stability_hardness_reduction():
             smti = gen_csmti(GenParams(n_agents=3, n_hospitals=3, n_ties=0, seed=93_000 + i))
             assert smti_complete_stable(smti) is not None
             inst, index = reduce_stable(smti)
-            found = stable_matchings(inst, budget, strategy="decompose")
+            found = stable_matchings(inst, budget)
             assert found.complete and found.matchings
 
         # backward: single-tied sources with no complete stable matching give
@@ -283,7 +283,7 @@ def test_criterion_9_stability_hardness_reduction():
                 continue
             inst, index = reduce_stable(smti)
             assert check_stable_bounds(inst).ok
-            found = stable_matchings(inst, budget, strategy="decompose")
+            found = stable_matchings(inst, budget)
             assert found.complete
             assert found.matchings == [], f"seed {seed - 1} broke the equivalence"
             negatives += 1

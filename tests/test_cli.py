@@ -5,7 +5,7 @@ import pytest
 
 from hrs.cli import main
 from hrs.model import HrsInstance, parse_instance, serialize_instance, matching_to_json, Matching
-from hrs.harness import approx_gap_example, no_stable_example
+from hrs.harness import GenParams, approx_gap_example, gen_random, no_stable_example
 
 
 @pytest.fixture
@@ -116,11 +116,10 @@ def test_oracle_max_occ(capsys, example_files):
 
 @pytest.mark.parametrize("options, value", [
     (["--query", "stable"], None),
-    (["--query", "stable", "--strategy", "decompose"], None),
     (["--query", "occ-stable"], None),
     (["--query", "max-occ"], 0),
     (["--query", "a-perfect"], None),
-], ids=["stable", "stable-decompose", "occ-stable", "max-occ", "a-perfect"])
+], ids=["stable", "occ-stable", "max-occ", "a-perfect"])
 def test_oracle_max_occ_many_agents(capsys, tmp_path, options, value):
     # far deeper than Python's recursion limit: the search keeps its own stack
     inst = HrsInstance.build([(f"a{i}", 1, []) for i in range(1500)], [("h1", 1, [])])
@@ -152,28 +151,31 @@ def test_oracle_env_budget(capsys, example_files, monkeypatch):
 
 
 def test_oracle_decompose_wide_hospital(capsys, tmp_path):
-    # a hospital listing 20 agents once made decompose exit 2
+    # a hospital listing 20 agents once made the component search exit 2
     agents = [(f"a{i}", 1, ["hub", f"p{i}"]) for i in range(20)]
     hospitals = [("hub", 3, [f"a{i}" for i in range(20)])]
     hospitals += [(f"p{i}", 1, [f"a{i}"]) for i in range(20)]
     path = tmp_path / "star.hrs"
     path.write_text(serialize_instance(HrsInstance.build(agents, hospitals)))
-    answers = []
-    for strategy in ("plain", "decompose"):
-        code, out, err = run(capsys, "oracle", str(path), "--query", "stable", "--strategy", strategy)
-        assert code == 0 and err == ""
-        data = json.loads(out)
-        answers.append((data["verdict"], data["count"], data["witness"]))
-    # one stable matching, so equal witnesses mean equal answers
-    assert answers[0] == answers[1]
-    verdict, count, witness = answers[0]
-    assert verdict == "complete" and count == 1 and witness is not None
+    code, out, err = run(capsys, "oracle", str(path), "--query", "stable")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["verdict"] == "complete" and data["count"] == 1 and data["witness"] is not None
 
 
-def test_oracle_decompose_guard(capsys, example_files):
-    code, _, err = run(capsys, "oracle", example_files["no_stable"], "--query", "max-occ",
-                       "--strategy", "decompose")
-    assert code == 2 and "decompose" in err
+def test_oracle_stable_dense_instance(capsys, tmp_path):
+    # every agent lists every hospital, so no hospital closes before the last
+    # agent: an index-order search with hospital-level checks exhausts 300,000
+    # nodes here, the component search with ranked pair checks takes 756
+    inst = gen_random(GenParams(
+        n_agents=9, n_hospitals=6, size_range=(1, 3), cap_range=(1, 6), density=1.0, seed=900159,
+    ))
+    path = tmp_path / "dense.hrs"
+    path.write_text(serialize_instance(inst))
+    code, out, err = run(capsys, "oracle", str(path), "--query", "stable", "--max-nodes", "5000")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["verdict"] == "complete" and data["count"] == 1
 
 
 def test_gen_deterministic_stdout(capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hrs import oracle, verify
 from hrs.model import UNMATCHED, HrsInstance, InstanceError, Matching, is_feasible, matching_size
 from hrs.oracle import (
     COMPLETE,
@@ -24,6 +25,13 @@ from hrs.verify import is_occupancy_stable, is_stable
 from hrs.harness import GenParams, gen_csmti, gen_master_list, gen_random, no_stable_example
 
 from conftest import all_feasible_assignments, small_random_instances
+
+
+def _index_order_stable(inst):
+    """The stable matchings as the index-order search finds them, in
+    canonical order: the reference for ``stable_matchings``."""
+    leaves = oracle._stable_leaves(inst, verify.CLASSIC, oracle._Ticker(SearchBudget()))
+    return [Matching(assign) for assign, _ in leaves]
 
 
 def test_enumerate_counts():
@@ -177,11 +185,10 @@ def test_max_occ_reference_node_count_is_exact():
 
 @pytest.mark.parametrize("query, value, witnesses", [
     (stable_matchings, None, 1),
-    (lambda inst: stable_matchings(inst, strategy="decompose"), None, 1),
     (occupancy_stable_matchings, None, 1),
     (max_occupancy_stable, 0, 1),
     (exists_a_perfect_occupancy_stable, None, 0),
-], ids=["stable", "stable-decompose", "occ-stable", "max-occ", "a-perfect"])
+], ids=["stable", "occ-stable", "max-occ", "a-perfect"])
 def test_max_occ_many_agents_without_recursion(query, value, witnesses):
     inst = HrsInstance.build([(f"a{i}", 1, []) for i in range(1500)], [("h1", 1, [])])
     res = query(inst)
@@ -246,7 +253,8 @@ def test_oracle_agrees_with_verifiers_on_unlisted_edge(one_sided_inst):
 
 
 def test_decompose_skips_unlisted_edge():
-    # h1 lists nobody, so a1 -> h1 cannot be built; without it both searches agree
+    # h1 lists nobody, so a1 -> h1 cannot be built; without it the component
+    # search agrees with the index-order reference
     with pytest.raises(InstanceError, match="agent a1: lists h1 which does not list it back"):
         HrsInstance.build(
             [("a1", 1, ["h1", "h2"]), ("a2", 1, ["h2"])],
@@ -256,14 +264,15 @@ def test_decompose_skips_unlisted_edge():
         [("a1", 1, ["h2"]), ("a2", 1, ["h2"])],
         [("h1", 1, []), ("h2", 1, ["a2", "a1"])],
     )
-    res = stable_matchings(inst, strategy="decompose")
+    res = stable_matchings(inst)
     assert res.complete and [m.assign for m in res.matchings] == [(UNMATCHED, 1)]
-    assert res.matchings == stable_matchings(inst).matchings
+    assert res.matchings == _index_order_stable(inst)
 
 
 def test_decompose_interface_skips_unlisted_edge():
     # interface h1 lists a2, which does not list h1, and a1 lists h1 unlisted:
-    # construction rejects both; without them both searches agree
+    # construction rejects both; without them the component search agrees
+    # with the index-order reference
     with pytest.raises(InstanceError, match="agent a1: lists h1 which does not list it back"):
         HrsInstance.build(
             [("a1", 1, ["h2", "h1"]), ("a2", 1, ["h2"])],
@@ -273,8 +282,8 @@ def test_decompose_interface_skips_unlisted_edge():
         [("a1", 1, ["h2"]), ("a2", 1, ["h2"])],
         [("h1", 1, []), ("h2", 1, ["a2", "a1"])],
     )
-    res = stable_matchings(inst, strategy="decompose", interfaces=[0])
-    assert res.complete and res.matchings == stable_matchings(inst).matchings
+    res = stable_matchings(inst, interfaces=[0])
+    assert res.complete and res.matchings == _index_order_stable(inst)
 
 
 def test_a_perfect_decision(no_stable_inst, gap_inst):
@@ -332,9 +341,11 @@ def test_budget_exhaustion_verdict():
         [(f"a{i}", 1, ["h1", "h2"]) for i in range(1, 9)],
         [("h1", 8, [f"a{i}" for i in range(1, 9)]), ("h2", 8, [f"a{i}" for i in range(1, 9)])],
     )
-    res = stable_matchings(inst, SearchBudget(max_nodes=20))
-    assert res.verdict == EXHAUSTED
-    assert res.nodes >= 20
+    # the full search takes 8 nodes; a budget of 4 stops it halfway
+    assert stable_matchings(inst).nodes == 8
+    res = stable_matchings(inst, SearchBudget(max_nodes=4))
+    assert res.verdict == EXHAUSTED and res.matchings == []
+    assert res.nodes > 4
 
 
 def test_solution_cap_reported_as_exhausted():
@@ -390,18 +401,18 @@ def test_smti_unequal_sides():
     assert smti_complete_stable(smti) is None
 
 
-# --- decomposition strategy ----------------------------------------------------
+# --- components, closing order and ranked checks --------------------------------
 
 
 def test_decompose_equals_plain_on_random():
-    # interfaces are ignored: every choice must give the same answer
+    # interfaces are ignored: every choice must give the reference's list
     rng = random.Random(53)
     for inst in small_random_instances(40, seed=53):
-        plain = sorted(stable_matchings(inst).matchings, key=lambda m: m.assign)
+        plain = _index_order_stable(inst)
         narrow = [h for h in range(inst.n_hospitals) if len(inst.hospital_prefs[h]) <= 16]
         pinned = sorted(h for h in narrow if rng.random() < 0.5)
         for interfaces in (None, [], pinned, narrow[::2]):
-            dec = stable_matchings(inst, strategy="decompose", interfaces=interfaces)
+            dec = stable_matchings(inst, interfaces=interfaces)
             assert dec.complete
             assert dec.matchings == plain
 
@@ -415,10 +426,9 @@ def test_decompose_every_other_interface_on_gadgets():
             inst, _ = reduce_stable(smti)
             interfaces = range(0, inst.n_hospitals, 2)
             budget = SearchBudget(max_nodes=50_000)
-            dec = stable_matchings(inst, budget, strategy="decompose", interfaces=interfaces)
-            plain = stable_matchings(inst)
-            assert dec.complete and plain.complete
-            assert dec.matchings == sorted(plain.matchings, key=lambda m: m.assign)
+            dec = stable_matchings(inst, budget, interfaces=interfaces)
+            assert dec.complete
+            assert dec.matchings == _index_order_stable(inst)
 
 
 def _chain(n):
@@ -437,14 +447,14 @@ def test_decompose_long_chain_without_recursion(interfaces):
     # within a few nodes per agent.
     inst = _chain(1500)
     budget = SearchBudget(max_solutions=1, max_nodes=20_000)
-    res = stable_matchings(inst, budget, strategy="decompose", interfaces=interfaces)
+    res = stable_matchings(inst, budget, interfaces=interfaces)
     assert res.verdict == EXHAUSTED and len(res.matchings) == 1
     assert res.nodes <= 10_000
     assert all(is_stable(inst, m) for m in res.matchings)
 
 
 def test_decompose_with_explicit_interfaces(no_stable_inst):
-    res = stable_matchings(no_stable_inst, strategy="decompose", interfaces=[1])
+    res = stable_matchings(no_stable_inst, interfaces=[1])
     assert res.complete and res.matchings == []
 
 
@@ -453,7 +463,7 @@ def test_decompose_two_independent_blocks():
         [("a1", 1, ["h1"]), ("a2", 1, ["h2"])],
         [("h1", 1, ["a1"]), ("h2", 1, ["a2"])],
     )
-    res = stable_matchings(inst, strategy="decompose")
+    res = stable_matchings(inst)
     assert res.complete and len(res.matchings) == 1
     assert res.matchings[0] == Matching.from_labeled_pairs(inst, [("a1", "h1"), ("a2", "h2")])
 
@@ -463,11 +473,6 @@ def test_auto_interfaces_on_small_instance(no_stable_inst):
     assert auto_interfaces(no_stable_inst) == []
     smti = gen_csmti(GenParams(n_agents=6, n_hospitals=6, n_ties=2, seed=3))
     assert auto_interfaces(reduce_stable(smti)[0]) == []
-
-
-def test_unknown_strategy(no_stable_inst):
-    with pytest.raises(ValueError):
-        stable_matchings(no_stable_inst, strategy="magic")
 
 
 def _union(*instances):
@@ -496,11 +501,12 @@ def _two_stable_market():
 
 
 def test_decompose_stops_at_a_component_without_stable_matching():
-    # the plain search walks all 2^16 stable combinations of the markets
-    # (720,891 nodes) before it meets the last component; decompose settles
-    # each component alone and stops at the one with no stable matching
+    # the index-order search walks all 2^16 stable combinations of the
+    # markets (720,891 nodes) before it meets the last component; the
+    # component search settles each component alone and stops at the one
+    # with no stable matching
     inst = _union(*[_two_stable_market()] * 16, no_stable_example())
-    res = stable_matchings(inst, strategy="decompose")
+    res = stable_matchings(inst)
     assert res.complete and res.matchings == []
     assert res.nodes <= 200
 
@@ -508,13 +514,14 @@ def test_decompose_stops_at_a_component_without_stable_matching():
 def test_decompose_solution_cap_on_independent_markets():
     # four markets multiply out to 16 stable matchings; a cap of 5 keeps 5
     inst = _union(*[_two_stable_market()] * 4)
-    everything = stable_matchings(inst, strategy="decompose")
-    assert everything.complete and len(everything.matchings) == 16
-    res = stable_matchings(inst, SearchBudget(max_solutions=5), strategy="decompose")
+    everything = stable_matchings(inst)
+    assert everything.complete and everything.matchings == _index_order_stable(inst)
+    assert len(everything.matchings) == 16
+    res = stable_matchings(inst, SearchBudget(max_solutions=5))
     assert res.verdict == EXHAUSTED and len(res.matchings) == 5
     assert len({m.assign for m in res.matchings}) == 5
-    assert all(is_stable(inst, m) for m in res.matchings)
-    assert res.matchings == sorted(res.matchings, key=lambda m: m.assign)
+    # the first five found, in canonical order: the full list's order
+    assert res.matchings == [m for m in everything.matchings if m in res.matchings]
 
 
 @pytest.mark.parametrize("n", [10, 14, 20])
@@ -524,7 +531,7 @@ def test_decompose_larger_gadgets_within_budget(n):
     for seed in range(3):
         smti = gen_csmti(GenParams(n_agents=n, n_hospitals=n, n_ties=1, seed=seed))
         inst, _ = reduce_stable(smti)
-        res = stable_matchings(inst, SearchBudget(max_nodes=20_000), strategy="decompose")
+        res = stable_matchings(inst, SearchBudget(max_nodes=20_000))
         assert res.complete
         assert all(is_stable(inst, m) for m in res.matchings)
 
@@ -541,10 +548,9 @@ def test_decompose_equals_plain_on_every_gadget_stratum():
                 except ValueError:  # the generator rejects some seeds
                     seed += 100
             inst, _ = reduce_stable(smti)
-            plain = stable_matchings(inst)
-            dec = stable_matchings(inst, strategy="decompose")
-            assert plain.complete and dec.complete
-            assert dec.matchings == sorted(plain.matchings, key=lambda m: m.assign)
+            dec = stable_matchings(inst)
+            assert dec.complete
+            assert dec.matchings == _index_order_stable(inst)
 
 
 def _star(n):
@@ -557,12 +563,12 @@ def _star(n):
 
 
 def test_decompose_wide_hospital():
-    # a hospital listing 20 agents once made decompose refuse the instance
+    # a hospital listing 20 agents once made the component search refuse the
+    # instance
     inst = _star(20)
-    dec = stable_matchings(inst, strategy="decompose")
-    plain = stable_matchings(inst)
-    assert dec.complete and plain.complete and len(dec.matchings) == 1
-    assert dec.matchings == sorted(plain.matchings, key=lambda m: m.assign)
+    dec = stable_matchings(inst)
+    assert dec.complete and len(dec.matchings) == 1
+    assert dec.matchings == _index_order_stable(inst)
 
 
 @pytest.mark.parametrize("seed, n_hospitals", [(900159, 6), (900170, 6), (900180, 5)])
@@ -574,6 +580,6 @@ def test_decompose_dense_instance_ranked_checks(seed, n_hospitals):
         n_agents=9, n_hospitals=n_hospitals, size_range=(1, 3), cap_range=(1, 6), density=1.0,
         seed=seed,
     ))
-    res = stable_matchings(inst, SearchBudget(max_nodes=5_000), strategy="decompose")
+    res = stable_matchings(inst, SearchBudget(max_nodes=5_000))
     assert res.complete and len(res.matchings) == 1
     assert is_stable(inst, res.matchings[0])

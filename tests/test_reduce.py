@@ -449,9 +449,7 @@ def test_stable_equivalence_sampled():
         smti = gen_csmti(GenParams(n_agents=3, n_hospitals=3, n_ties=1, seed=seed))
         source = smti_complete_stable(smti)
         inst, index = reduce_stable(smti)
-        res = stable_matchings(
-            inst, SearchBudget(max_nodes=20_000_000), strategy="decompose"
-        )
+        res = stable_matchings(inst, SearchBudget(max_nodes=20_000_000))
         assert res.complete
         assert bool(res.matchings) == (source is not None)
         if source is not None:
@@ -470,7 +468,7 @@ def test_stable_equivalence_pinned_negative():
     smti = no_csm()
     assert smti_complete_stable(smti) is None
     inst, _ = reduce_stable(smti)
-    res = stable_matchings(inst, SearchBudget(max_nodes=20_000_000), strategy="decompose")
+    res = stable_matchings(inst, SearchBudget(max_nodes=20_000_000))
     assert res.complete and res.matchings == []
 
 

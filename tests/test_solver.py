@@ -77,6 +77,18 @@ def test_uniform_gs_rejects_mixed_sizes(no_stable_inst):
         uniform_gs(no_stable_inst, [0], [-1, 2])
     with pytest.raises(ValueError, match="^residual capacity vector has wrong length$"):
         uniform_gs(no_stable_inst, [0], [1])
+    # a repeated agent once proposed twice and left a1 at h2 with h1 empty; a
+    # negative index ran an agent from the end, and one past the end IndexError
+    inst = HrsInstance.build(
+        [("a1", 1, ["h1", "h2"]), ("a2", 1, ["h1"])],
+        [("h1", 1, ["a2", "a1"]), ("h2", 1, ["a1"])],
+    )
+    with pytest.raises(ValueError, match="^class repeats agent a1$"):
+        uniform_gs(inst, [0, 0], [1, 1])
+    with pytest.raises(ValueError, match="^class agent index -1 out of range$"):
+        uniform_gs(inst, [-1], [1, 1])
+    with pytest.raises(ValueError, match="^class agent index 5 out of range$"):
+        uniform_gs(inst, [5], [1, 1])
 
 
 def test_solve_rejects_invalid_partition(no_stable_inst):
