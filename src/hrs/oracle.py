@@ -8,8 +8,8 @@ b's hospital and h's residents, so it is final once b and every agent that may
 still be placed at h are placed. At each position a close check tests the
 pairs that have just become final, through ``verify._hospital_blocks``, and
 cuts the branch when one blocks, so every leaf is unblocked. Every bound in
-the budget (node count, wall clock, solution cap) aborts the sweep with an
-explicit ``budget_exhausted`` verdict.
+the budget (node count, wall clock, solution cap) stops the query with an
+explicit ``budget_exhausted`` verdict and the matchings it has built so far.
 
 Canonical order compares matchings agent by agent, by each agent's hospital's
 position on that agent's list, unmatched last: the order in which a search
@@ -24,7 +24,10 @@ the agent that closes the most hospitals, so their pairs become final early.
 Classic stability also makes a pair (b, h) final as soon as b and the agents
 h ranks above b are placed, and the search tests it there. The stable
 matchings are the product of the components' stable assignments, sorted in
-canonical order, and a component with none settles the query at once.
+canonical order, and a component with none settles the query at once. Every
+component finds one assignment before any runs in full, so a bound that trips
+after that still leaves a witness. Each leaf found pays for one matching of
+the product, and every matching past those costs a node.
 """
 
 from __future__ import annotations
@@ -89,10 +92,6 @@ class OracleResult:
         }
 
 
-class _SolutionCap(Exception):
-    pass
-
-
 class _Ticker:
     """Shared node counter enforcing max_nodes and the deadline."""
 
@@ -101,17 +100,14 @@ class _Ticker:
     def __init__(self, budget: SearchBudget):
         self.nodes = 0
         self.limit = budget.max_nodes
-        self.t_end = (
-            time.monotonic() + budget.deadline if budget.deadline is not None else None
-        )
+        self.t_end = time.monotonic() + budget.deadline if budget.deadline is not None else None
 
     def tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.limit:
             raise BudgetExhausted(self.nodes)
-        if self.t_end is not None and (self.nodes & 2047) == 0:
-            if time.monotonic() > self.t_end:
-                raise BudgetExhausted(self.nodes)
+        if self.t_end is not None and (self.nodes & 2047) == 0 and time.monotonic() > self.t_end:
+            raise BudgetExhausted(self.nodes)
 
 
 def _search(
@@ -242,10 +238,8 @@ def enumerate_feasible(
     Raises BudgetExhausted when a bound trips."""
     budget = budget or SearchBudget()
     ticker = _Ticker(budget)
-    yielded = 0
-    for assign, _ in _search(inst.sizes, inst.caps, inst.agent_prefs, ticker):
+    for yielded, (assign, _) in enumerate(_search(inst.sizes, inst.caps, inst.agent_prefs, ticker), 1):
         yield Matching(assign)
-        yielded += 1
         if budget.max_solutions is not None and yielded >= budget.max_solutions:
             raise BudgetExhausted(ticker.nodes)
 
@@ -273,51 +267,58 @@ def stable_matchings(
     strategy: str | None = None,
     interfaces: Sequence[int] | None = None,
 ) -> OracleResult:
-    """All stable matchings, in canonical order: the product of each connected
-    component's, each component searched alone in closing order with ranked
-    close checks. A component with no stable assignment settles the query at
-    once. Under a ``max_solutions`` cap of k the search returns the first k
-    matchings it finds, in canonical order; they need not be the first k of
-    the uncapped list. ``strategy`` and ``interfaces`` are accepted and
-    ignored, for callers of the retired strategy switch and interface sweep."""
+    """All stable matchings, in canonical order, from the component search of
+    the module docstring. Under a ``max_solutions`` cap of k the search
+    returns the first k matchings it finds, in canonical order; they need not
+    be the first k of the uncapped list. ``strategy`` and ``interfaces`` are
+    accepted and ignored, for callers of the retired strategy switch and
+    interface sweep."""
     budget = budget or SearchBudget()
     ticker = _Ticker(budget)
     # a component with this many solutions lets the product reach the cap
     limit = None if budget.max_solutions is None else max(budget.max_solutions, 1)
     test = partial(verify._hospital_blocks, inst, verify._eviction_mask(inst.sizes, verify.CLASSIC))
-    position = [0] * inst.n_agents
-    for p, a in enumerate(_closing_order(inst)):
-        position[a] = p
+    position = {a: p for p, a in enumerate(_closing_order(inst))}
     # components share no agent or hospital, so their searches share one
-    # assign and occ, even where a search stopped at the cap leaves its own set
+    # assign and occ, though each may be paused at a leaf or stopped at the cap
     assign, occ = [UNMATCHED] * inst.n_agents, [0] * inst.n_hospitals
     comps = _components(inst)
-    solutions: list[list[tuple[int, ...]]] = []
-    try:
-        for agents, hospitals in comps:
-            order = sorted(agents, key=position.__getitem__)
-            leaves = _search(
-                inst.sizes, inst.caps, inst.agent_prefs, ticker, close=_closer(inst, order, hospitals),
-                blocks=test, order=order, assign=assign, occ=occ,
-            )
-            sols = [tuple(leaf[a] for a in agents) for leaf, _ in itertools.islice(leaves, limit)]
-            if not sols:
-                return OracleResult(COMPLETE, [], None, ticker.nodes)
-            solutions.append(sols)
-    except BudgetExhausted:
-        return OracleResult(EXHAUSTED, [], None, ticker.nodes)
+    searches = []
+    for agents, hospitals in comps:
+        order = sorted(agents, key=position.__getitem__)
+        searches.append(_search(
+            inst.sizes, inst.caps, inst.agent_prefs, ticker, close=_closer(inst, order, hospitals),
+            blocks=test, order=order, assign=assign, occ=occ,
+        ))
+    solutions: list[list[tuple[int, ...]]] = [[] for _ in comps]
     found: list[Matching] = []
     out = [UNMATCHED] * inst.n_agents
-    for combo in itertools.islice(itertools.product(*solutions), limit):
-        for (agents, _), sol in zip(comps, combo):
-            for a, h in zip(agents, sol):
-                out[a] = h
-        found.append(Matching(out))
+    verdict = COMPLETE
+    try:
+        # one solution of every component first, then the rest; at least one
+        # matching of the product is paid for, even with no component
+        for cap in (1, limit):
+            for (agents, _), leaves, sols in zip(comps, searches, solutions):
+                more = None if cap is None else cap - len(sols)
+                sols += (tuple(leaf[a] for a in agents) for leaf, _ in itertools.islice(leaves, more))
+                if not sols:
+                    return OracleResult(COMPLETE, [], None, ticker.nodes)
+            paid = max(sum(map(len, solutions)), 1)
+            for combo in itertools.islice(itertools.product(*solutions), len(found), cap):
+                if len(found) >= paid:
+                    ticker.tick()
+                for (agents, _), sol in zip(comps, combo):
+                    for a, h in zip(agents, sol):
+                        out[a] = h
+                found.append(Matching(out))
+    except BudgetExhausted:
+        verdict = EXHAUSTED
     # every list position is below n_hospitals, so unmatched (no rank) sorts last
     past = itertools.repeat(inst.n_hospitals)
     found.sort(key=lambda m: list(map(dict.get, inst.agent_rank, m.assign, past)))
-    capped = limit is not None and len(found) >= budget.max_solutions
-    return OracleResult(EXHAUSTED if capped else COMPLETE, found, None, ticker.nodes)
+    if limit is not None and len(found) >= budget.max_solutions:
+        verdict = EXHAUSTED
+    return OracleResult(verdict, found, None, ticker.nodes)
 
 
 def occupancy_stable_matchings(

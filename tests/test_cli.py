@@ -176,6 +176,13 @@ def test_oracle_stable_dense_instance(capsys, tmp_path):
     assert code == 0 and err == ""
     data = json.loads(out)
     assert data["verdict"] == "complete" and data["count"] == 1
+    # the component's first solution comes before its search runs out, so a
+    # budget that trips later still reports it
+    code, out, err = run(capsys, "oracle", str(path), "--query", "stable", "--max-nodes", "500")
+    assert code == 3 and err == ""
+    partial = json.loads(out)
+    assert partial["verdict"] == "budget_exhausted" and partial["count"] == 1
+    assert partial["witness"] == data["witness"] and partial["nodes"] == 501
 
 
 def test_gen_deterministic_stdout(capsys):

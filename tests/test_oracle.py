@@ -341,7 +341,8 @@ def test_budget_exhaustion_verdict():
         [(f"a{i}", 1, ["h1", "h2"]) for i in range(1, 9)],
         [("h1", 8, [f"a{i}" for i in range(1, 9)]), ("h2", 8, [f"a{i}" for i in range(1, 9)])],
     )
-    # the full search takes 8 nodes; a budget of 4 stops it halfway
+    # the full search takes 8 nodes; a budget of 4 stops it halfway, before
+    # its one component has a solution, so there is no witness
     assert stable_matchings(inst).nodes == 8
     res = stable_matchings(inst, SearchBudget(max_nodes=4))
     assert res.verdict == EXHAUSTED and res.matchings == []
@@ -522,6 +523,33 @@ def test_decompose_solution_cap_on_independent_markets():
     assert len({m.assign for m in res.matchings}) == 5
     # the first five found, in canonical order: the full list's order
     assert res.matchings == [m for m in everything.matchings if m in res.matchings]
+
+
+def test_budget_bounds_the_product_of_components():
+    # 25 markets finish their searches in a few hundred nodes and multiply
+    # out to 2^25 matchings; each one past the leaves found costs a node
+    inst = _union(*[_two_stable_market()] * 25)
+    first = Matching([h for market in range(25) for h in (2 * market, 2 * market + 1)])
+    for budget in (SearchBudget(max_nodes=1000), SearchBudget(deadline=0.0)):
+        res = stable_matchings(inst, budget)
+        assert res.verdict == EXHAUSTED and res.nodes <= 2048
+        assert 0 < len(res.matchings) < res.nodes and first == res.matchings[0]
+        ranks = [[inst.agent_rank[a][h] for a, h in enumerate(m.assign)] for m in res.matchings]
+        assert ranks == sorted(ranks)
+        assert all(is_stable(inst, m) for m in res.matchings[:50])
+
+
+def test_budget_keeps_a_witness_once_every_component_has_one():
+    inst = _union(*[_two_stable_market()] * 4)
+    everything = stable_matchings(inst)
+    assert everything.complete and everything.nodes == 24
+    runs = [stable_matchings(inst, SearchBudget(max_nodes=k)) for k in range(24)]
+    assert all(res.verdict == EXHAUSTED and res.nodes == k + 1 for k, res in enumerate(runs))
+    assert all(set(res.matchings) <= set(everything.matchings) for res in runs)
+    # two nodes find each market's first solution and two more its second;
+    # the 8 leaves pay for 8 matchings of the product, each further one costs
+    # a node
+    assert [len(res.matchings) for res in runs] == [0] * 8 + [1] * 8 + list(range(8, 16))
 
 
 @pytest.mark.parametrize("n", [10, 14, 20])
