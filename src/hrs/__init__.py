@@ -39,7 +39,7 @@ from .partition import (
     size_descending_partition,
     validate_ordered_partition,
 )
-from .solver import SolveTrace, check_trace, solve, solve_occupancy, uniform_gs
+from .solver import SolveTrace, check_trace, solve, solve_matching, solve_occupancy, uniform_gs
 from .oracle import (
     BudgetExhausted,
     OracleResult,

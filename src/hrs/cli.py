@@ -30,7 +30,7 @@ from .partition import (
     parse_partition,
     size_descending_partition,
 )
-from .solver import solve, trace_to_json
+from .solver import solve, solve_matching, solve_occupancy, trace_to_json
 from .verify import (
     find_blocking_pairs,
     find_occupancy_blocking_pairs,
@@ -74,31 +74,31 @@ def _default_max_nodes(args) -> int:
 
 
 def _resolve_partition(inst, ordering: str):
+    """The partition ``ordering`` names; None when ``detect`` finds none."""
     if ordering == "size-desc":
         return size_descending_partition(inst)
     if ordering == "detect":
-        partition = detect_generalized_master_list(inst)
-        if partition is None:
-            raise HrsError("no generalized master list ordering exists")
-        return partition
+        return detect_generalized_master_list(inst)
     if ordering.startswith("file:"):
         return parse_partition(inst, _read_text(ordering[5:]))
     raise FormatError(f"unknown ordering {ordering!r}")
 
 
 def _cmd_solve(args) -> int:
+    """Without ``--trace`` no trace is built: the size-descending rounds run
+    as ``solve_occupancy``, any other ordering as ``solve_matching``."""
     inst = parse_instance(_read_text(args.file))
-    try:
-        partition = _resolve_partition(inst, args.ordering)
-    except HrsError as exc:
-        if isinstance(exc, FormatError):
-            raise
-        print(f"hrs solve: {exc}", file=sys.stderr)
+    if args.ordering == "size-desc" and not args.trace:
+        _emit(matching_to_json(inst, solve_occupancy(inst)))
+        return EXIT_OK
+    partition = _resolve_partition(inst, args.ordering)
+    if partition is None:
+        print("hrs solve: no generalized master list ordering exists", file=sys.stderr)
         return EXIT_PROPERTY_FAILS
-    trace = solve(inst, partition)
     if args.trace:
+        trace = solve(inst, partition)
         _write(args.trace, _json_line(trace_to_json(inst, trace)))
-    _emit(matching_to_json(inst, trace.final))
+    _emit(matching_to_json(inst, trace.final if args.trace else solve_matching(inst, partition)))
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from .oracle import (
 )
 from .partition import detect_generalized_master_list
 from .reduce import SmtiInstance
-from .solver import solve, solve_occupancy
+from .solver import solve_matching, solve_occupancy
 from .verify import (
     find_blocking_pairs,
     find_occupancy_blocking_pairs,
@@ -155,23 +155,17 @@ def gen_csmti(params: GenParams) -> SmtiInstance:
             break
     else:
         raise ValueError("could not satisfy per-woman list caps; try another seed")
-    men = []
-    for m in range(n):
-        label = f"m{m + 1}"
-        if tied[m]:
-            men.append((label, [[f"w{w + 1}" for w in chosen[m]]]))
-        else:
-            men.append((label, [[f"w{w + 1}"] for w in chosen[m]]))
     suitors: list[list[int]] = [[] for _ in range(n)]
-    for m in range(n):
-        for w in chosen[m]:
+    for m, ws in enumerate(chosen):
+        for w in ws:
             suitors[w].append(m)
-    women = []
-    for w in range(n):
-        lst = list(suitors[w])
+    for lst in suitors:
         rng.shuffle(lst)
-        women.append((f"w{w + 1}", [f"m{m + 1}" for m in lst]))
-    return SmtiInstance.build(men, women)
+    return SmtiInstance(
+        [f"m{m + 1}" for m in range(n)],
+        [[ws] if t else [[w] for w in ws] for t, ws in zip(tied, chosen)],
+        [f"w{w + 1}" for w in range(n)], suitors,
+    )
 
 
 # --- pinned example instances --------------------------------------------------
@@ -391,7 +385,7 @@ def _ml_output_blocked(inst: HrsInstance, budget: SearchBudget) -> bool:
     partition = detect_generalized_master_list(inst)
     if partition is None:
         return True
-    return bool(find_blocking_pairs(inst, solve(inst, partition).final))
+    return bool(find_blocking_pairs(inst, solve_matching(inst, partition)))
 
 
 def _stable_not_occ(inst: HrsInstance, budget: SearchBudget) -> bool:

@@ -21,7 +21,7 @@ represented explicitly (``UNMATCHED``) and ranks below every listed hospital.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from operator import neg
 from typing import Iterable, Iterator, Sequence
 
@@ -141,14 +141,16 @@ class HrsInstance:
     """Immutable, valid instance; agents and hospitals are dense indices
     internally.
 
-    Labels are kept for I/O. Per-vertex rank tables (partner index -> position
-    in the preference list) are precomputed so preference comparisons are O(1).
+    Labels are kept for I/O. Each preference is stored once, in the lists and
+    each agent-list entry's negated hospital-side rank: a ranks h at
+    ``i = agent_prefs[a].index(h)`` and h ranks a at
+    ``-agent_pref_hranks_neg[a][i]``, so a rank lookup costs O(list length).
     """
 
     __slots__ = (
         "agent_labels", "hospital_labels", "sizes", "caps",
-        "agent_prefs", "hospital_prefs", "agent_rank", "hospital_rank",
-        "agent_pref_hranks_neg", "agent_index", "hospital_index",
+        "agent_prefs", "hospital_prefs", "agent_pref_hranks_neg",
+        "agent_index", "hospital_index",
     )
 
     def __init__(
@@ -159,10 +161,12 @@ class HrsInstance:
         hospital_labels: Sequence[str],
         caps: Sequence[int],
         hospital_prefs: Sequence[Sequence[int]],
+        _indexes: tuple[dict[str, int], dict[str, int]] | None = None,
     ):
         """The one constructor, on dense indices: one pass builds the label
-        indexes and rank tables and checks every model invariant, raising
-        InstanceError with ``check_instance_data``'s first issue."""
+        indexes (unless ``_indexes`` brings both) and edge ranks and checks
+        every model invariant, raising InstanceError with
+        ``check_instance_data``'s first issue."""
         self.agent_labels = agent_labels = tuple(agent_labels)
         self.sizes = sizes = tuple(sizes)
         self.agent_prefs = agent_prefs = tuple(map(tuple, agent_prefs))
@@ -171,34 +175,26 @@ class HrsInstance:
         self.hospital_prefs = hospital_prefs = tuple(map(tuple, hospital_prefs))
         n_a, n_h = len(agent_labels), len(hospital_labels)
         try:
-            self.agent_index = {label: a for a, label in enumerate(agent_labels)}
-            self.hospital_index = {label: h for h, label in enumerate(hospital_labels)}
-            self.agent_rank = agent_rank = tuple(
-                [{h: r for r, h in enumerate(p)} for p in agent_prefs]
-            )
-            # hospital lists can be long: one int object per position, shared
-            # by every hospital's table
-            positions = tuple(range(max(map(len, hospital_prefs), default=0)))
-            self.hospital_rank = hospital_rank = tuple(
-                [dict(zip(p, positions)) for p in hospital_prefs]
+            self.agent_index, self.hospital_index = _indexes or (
+                {label: a for a, label in enumerate(agent_labels)},
+                {label: h for h, label in enumerate(hospital_labels)},
             )
             # negated hospital-side rank of each edge, parallel to agent_prefs,
-            # for hot loops and min-heaps (less negative = better). The lookup
-            # fails on an edge the hospital does not list, and on an index out
-            # of range
-            negated = tuple(map(neg, positions))
-            rank_of = dict(enumerate(hospital_rank))
-            self.agent_pref_hranks_neg = tuple(
-                [tuple([negated[rank_of[h][a]] for h in p]) for a, p in enumerate(agent_prefs)]
-            )
-            # a rank table shorter than its list means a repeated entry. With
-            # agent lists strict and their edges listed back, hospital lists as
-            # long in total must be strict and list nothing else
+            # for hot loops and min-heaps (less negative = better), read from
+            # hospital tables that are not kept. A lookup fails on an edge the
+            # hospital does not list, and on an index out of range
+            negated = tuple(map(neg, range(max(map(len, hospital_prefs), default=0))))
+            rank_of = {h: dict(zip(p, negated)) for h, p in enumerate(hospital_prefs)}
+            self.agent_pref_hranks_neg = tuple([tuple(map(
+                dict.__getitem__, map(rank_of.__getitem__, p), repeat(a)
+            )) for a, p in enumerate(agent_prefs)])
+            # with agent lists strict and their edges listed back, hospital
+            # lists as long in total must be strict and list nothing else
             n_edges = sum(map(len, agent_prefs))
             valid = (
                 len(sizes) == len(agent_prefs) == n_a == len(self.agent_index)
                 and len(caps) == len(hospital_prefs) == n_h == len(self.hospital_index)
-                and sum(map(len, agent_rank)) == n_edges == sum(map(len, hospital_prefs))
+                and sum(map(len, map(set, agent_prefs))) == n_edges == sum(map(len, hospital_prefs))
                 and _all_labels(agent_labels + hospital_labels)
                 and _all_positive_ints(sizes + caps)
                 # the lookups above take a float as the equal int index
@@ -288,6 +284,7 @@ def _from_rows(agents: list[Row], hospitals: list, labels_of) -> HrsInstance:
     return HrsInstance(
         a_labels, sizes, [tuple(map(h_index.__getitem__, labels_of(x))) for x in a_lists],
         h_labels, caps, [tuple(map(a_index.__getitem__, labels_of(x))) for x in h_lists],
+        _indexes=(a_index, h_index),
     )
 
 
@@ -367,7 +364,7 @@ def is_feasible(inst: HrsInstance, matching: Matching) -> tuple[bool, str | None
             continue
         if not 0 <= h < n_hospitals:
             return False, f"agent {inst.agent_labels[a]} assigned to unknown hospital index {h}"
-        if h not in inst.agent_rank[a]:
+        if h not in inst.agent_prefs[a]:
             return False, (
                 f"agent {inst.agent_labels[a]} assigned to "
                 f"{inst.hospital_labels[h]} which is not on its list"

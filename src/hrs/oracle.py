@@ -313,9 +313,9 @@ def stable_matchings(
                 found.append(Matching(out))
     except BudgetExhausted:
         verdict = EXHAUSTED
-    # every list position is below n_hospitals, so unmatched (no rank) sorts last
-    past = itertools.repeat(inst.n_hospitals)
-    found.sort(key=lambda m: list(map(dict.get, inst.agent_rank, m.assign, past)))
+    # each agent's rank of its hospital; unmatched, found past the list, sorts last
+    ranked = [prefs + (UNMATCHED,) for prefs in inst.agent_prefs]
+    found.sort(key=lambda m: list(map(tuple.index, ranked, m.assign)))
     if limit is not None and len(found) >= budget.max_solutions:
         verdict = EXHAUSTED
     return OracleResult(verdict, found, None, ticker.nodes)

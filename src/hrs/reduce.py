@@ -110,20 +110,15 @@ class SmtiInstance:
                 rank[m] = r
             women_rank.append(rank)
         self.women_rank = tuple(women_rank)
-        for m in range(self.n_men):
-            for w in self.men_rank[m]:
-                if m not in self.women_rank[w]:
-                    raise InstanceError(
-                        f"man {self.men_labels[m]} lists {self.women_labels[w]} "
-                        "which does not list him back"
-                    )
-        for w in range(self.n_women):
-            for m in self.women_rank[w]:
-                if w not in self.men_rank[m]:
-                    raise InstanceError(
-                        f"woman {self.women_labels[w]} lists {self.men_labels[m]} "
-                        "which does not list her back"
-                    )
+        sides = [("man", "him", self.men_labels, self.men_rank),
+                 ("woman", "her", self.women_labels, self.women_rank)]
+        for (kind, pronoun, labels, own), (_, _, others, back) in zip(sides, sides[::-1]):
+            for i, rank in enumerate(own):
+                for j in rank:
+                    if i not in back[j]:
+                        raise InstanceError(
+                            f"{kind} {labels[i]} lists {others[j]} which does not list {pronoun} back"
+                        )
 
     @property
     def n_men(self) -> int:
@@ -153,21 +148,16 @@ class SmtiInstance:
         if len(m_index) != len(men):
             raise InstanceError("duplicate man label")
 
-        def widx(lbl, who):
-            if lbl not in w_index:
-                raise InstanceError(f"{who} lists unknown woman {lbl!r}")
-            return w_index[lbl]
-
-        def midx(lbl, who):
-            if lbl not in m_index:
-                raise InstanceError(f"{who} lists unknown man {lbl!r}")
-            return m_index[lbl]
+        def index(lbl, known, kind, who):
+            if lbl not in known:
+                raise InstanceError(f"{who} lists unknown {kind} {lbl!r}")
+            return known[lbl]
 
         men_prefs = [
-            [[widx(x, f"man {lbl}") for x in group] for group in groups]
+            [[index(x, w_index, "woman", f"man {lbl}") for x in group] for group in groups]
             for lbl, groups in men
         ]
-        women_prefs = [[midx(x, f"woman {lbl}") for x in prefs] for lbl, prefs in women]
+        women_prefs = [[index(x, m_index, "man", f"woman {lbl}") for x in p] for lbl, p in women]
         return cls([m[0] for m in men], men_prefs, [w[0] for w in women], women_prefs)
 
     def _key(self):

@@ -168,11 +168,15 @@ def uniform_gs(
     return Matching(assign)
 
 
-def solve(inst: HrsInstance, partition: OrderedPartition) -> SolveTrace:
-    """Run all rounds of the partition in order and return the full trace."""
+def _check_partition(inst: HrsInstance, partition: OrderedPartition) -> None:
     report = validate_ordered_partition(inst, partition)
     if not report.ok:
         raise ValueError(f"invalid partition: {report.summary()}")
+
+
+def solve(inst: HrsInstance, partition: OrderedPartition) -> SolveTrace:
+    """Run all rounds of the partition in order and return the full trace."""
+    _check_partition(inst, partition)
     room = list(inst.caps)
     kernel = _Kernel(inst, room)
     cum_assign = [UNMATCHED] * inst.n_agents
@@ -192,19 +196,28 @@ def solve(inst: HrsInstance, partition: OrderedPartition) -> SolveTrace:
     return SolveTrace(partition, tuple(rounds), tuple(cumulative), final)
 
 
-def solve_occupancy(inst: HrsInstance) -> Matching:
-    """Occupancy-stable matching: the rounds of the size-descending partition
-    (largest agents first), run on one kernel with no trace, in time linear in
-    the edges up to the heaps' log factor. The size classes are a disjoint
-    cover with one size each by construction, so there is no partition to
-    validate; the result equals
-    ``solve(inst, size_descending_partition(inst)).final``."""
+def _final(inst: HrsInstance, classes: Sequence[Sequence[int]]) -> Matching:
+    """The rounds of a valid partition's ``classes``, with no trace."""
     assign = [UNMATCHED] * inst.n_agents
     kernel = _Kernel(inst, list(inst.caps))
-    sizes = inst.sizes
-    for cls in _size_classes(inst):
-        kernel.round(cls, sizes[cls[0]], assign)
+    for cls in classes:
+        kernel.round(cls, inst.sizes[cls[0]], assign)
     return Matching(assign)
+
+
+def solve_matching(inst: HrsInstance, partition: OrderedPartition) -> Matching:
+    """``solve(inst, partition).final``: the same check and rounds, no trace."""
+    _check_partition(inst, partition)
+    return _final(inst, partition.classes)
+
+
+def solve_occupancy(inst: HrsInstance) -> Matching:
+    """Occupancy-stable matching: the rounds of the size-descending partition
+    (largest agents first) with no trace, in time linear in the edges up to
+    the heaps' log factor. The size classes are a disjoint cover with one
+    size each by construction, so there is no partition to validate; the
+    result equals ``solve(inst, size_descending_partition(inst)).final``."""
+    return _final(inst, _size_classes(inst))
 
 
 def check_trace(inst: HrsInstance, trace: SolveTrace) -> ValidationReport:
@@ -227,7 +240,7 @@ def check_trace(inst: HrsInstance, trace: SolveTrace) -> ValidationReport:
     # runs here too and is reported last. round_matched[k] lists the agents
     # round k matched, ascending
     n_agents = inst.n_agents
-    agent_rank = inst.agent_rank
+    agent_prefs = inst.agent_prefs
     round_matched: list[list[int]] = []
     blocking_issues: list[tuple[str, str]] = []
     for rnd, cls in zip(trace.rounds, trace.partition.classes):
@@ -241,7 +254,7 @@ def check_trace(inst: HrsInstance, trace: SolveTrace) -> ValidationReport:
             h = assign[a]
             if a not in agent_set:
                 report.add("error", loc, f"matched agent {inst.agent_labels[a]} outside class")
-            if a not in agent_set or h not in agent_rank[a]:
+            if a not in agent_set or h not in agent_prefs[a]:
                 report.add("error", loc, f"matched pair ({a}, {h}) outside round edges")
         try:
             # find_blocking_pairs_residual on the agent lists built above

@@ -8,7 +8,8 @@ so the hospital never loses occupancy by the swap. A matching is stable
 (resp. occupancy-stable) when no pair of that kind blocks it.
 
 Every verifier runs one scan. A hospital's eviction table is built on its
-first candidate pair that needs an eviction: its residents sorted by its rank,
+first candidate pair that needs an eviction: its residents sorted by its rank
+of them, which the pass placing the matching reads off each resident's list,
 and over each suffix of that order (worst-ranked upward) the evictable size
 total and the reachable subset sums as an integer bitset masked to the largest
 agent size. Building costs O(|M(h)| log |M(h)|).
@@ -120,7 +121,7 @@ def _frees(reach: int, need: int, room: int, occupancy: bool) -> bool:
 
 
 def _rank_bound(
-    order: list[int], evictable: list[int], rank: dict[int, int], need: int, room: int,
+    order: list[int], evictable: list[int], rank: Sequence[int], need: int, room: int,
     occupancy: bool,
 ) -> int:
     """An agent that needs ``need`` more than the hospital's free ``room``
@@ -145,15 +146,16 @@ def _scan_pairs(
     kind: str,
     free: list[int],
     residents: dict[int, list[int]],
+    held: Sequence[int],
     agents: Iterable[int],
     collect: bool,
     out: list[BlockingWitness] | None,
 ) -> bool:
     """Walk candidate pairs of ``agents`` (ascending) in canonical order (agent
     index, then that agent's preference order). ``free`` holds each
-    hospital's free capacity and ``residents`` its residents, ascending,
-    among those agents. Returns True if any pair blocks; fills ``out`` with
-    all witnesses when collecting.
+    hospital's free capacity, ``residents`` its residents, ascending, among
+    those agents, and ``held`` each resident's rank at its hospital. Returns
+    True if any pair blocks; fills ``out`` with all witnesses when collecting.
 
     A pair blocks exactly when its negated hospital-side rank is above its
     hospital's entry in the limit list of the agent's size. Entries start at
@@ -161,7 +163,6 @@ def _scan_pairs(
     ``_rank_bound``; a hospital with room for the agent keeps ``unset``.
     """
     sizes = inst.sizes
-    hospital_rank = inst.hospital_rank
     occupancy = kind == OCCUPANCY
     # per hospital: residents in rank order and their suffixes' evictable sums
     n_h = len(free)
@@ -188,15 +189,14 @@ def _scan_pairs(
                 continue
             need = s_a - free[h]
             if need > 0 and limit[h] == unset:
-                rank = hospital_rank[h]
                 table = tables[h]
                 if table is None:
                     if mask == 0:
                         mask = _eviction_mask(sizes, kind)
-                    order = sorted(residents.get(h, ()), key=rank.__getitem__)
+                    order = sorted(residents.get(h, ()), key=held.__getitem__)
                     table = tables[h] = (order, _suffix_reachable([sizes[b] for b in order], mask))
                 order, evictable = table
-                bound = limit[h] = -_rank_bound(order, evictable, rank, need, free[h], occupancy)
+                bound = limit[h] = -_rank_bound(order, evictable, held, need, free[h], occupancy)
                 if neg_rank <= bound:
                     continue
             found = True
@@ -206,7 +206,7 @@ def _scan_pairs(
                 witness: tuple[int, ...] = ()
             else:
                 order = tables[h][0]
-                below = bisect_right(order, -neg_rank, key=hospital_rank[h].__getitem__)
+                below = bisect_right(order, -neg_rank, key=held.__getitem__)
                 lower = sorted(order[below:])  # index order fixes the tie-break
                 lower_sizes = [sizes[b] for b in lower]
                 hi = s_a if occupancy else sum(lower_sizes)
@@ -227,7 +227,7 @@ def _hospital_blocks(
     resident to what evicting the residents so far can free, so each other
     agent meets ``_frees`` with exactly the residents ranked below it."""
     sizes = inst.sizes
-    agent_rank = inst.agent_rank
+    agent_prefs = inst.agent_prefs
     room = inst.caps[h] - occ[h]
     occupancy = mask is not None
     reach = 1 if occupancy else 0  # evicting nobody
@@ -237,7 +237,7 @@ def _hospital_blocks(
             s = sizes[b]
             reach = (reach | (reach << s)) & mask if occupancy else reach + s
         elif agent is None or b == agent:
-            if cur != UNMATCHED and agent_rank[b][cur] < agent_rank[b][h]:
+            if cur != UNMATCHED and agent_prefs[b].index(cur) < agent_prefs[b].index(h):
                 continue  # b prefers where it is
             need = sizes[b] - room
             if need <= 0 or _frees(reach, need, room, occupancy):
@@ -245,21 +245,25 @@ def _hospital_blocks(
     return False
 
 
-def _placed(inst: HrsInstance, matching: Matching) -> tuple[list[int], dict[int, list[int]]]:
-    """Each hospital's free capacity and residents (ascending) under a
-    matching of the whole instance, from one pass that also checks it is
-    feasible. A fault raises ValueError with ``model.is_feasible``'s message,
-    which is only computed then."""
+def _placed(inst: HrsInstance, matching: Matching) -> tuple[list, dict, list]:
+    """Each hospital's free capacity and residents (ascending), and each
+    resident's rank at its hospital, under a matching of the whole instance,
+    from one pass that also checks it is feasible. A fault raises ValueError
+    with ``model.is_feasible``'s message, which is only computed then."""
     assign = matching.assign
     free = list(inst.caps)
     residents: dict[int, list[int]] = {}
+    held = [0] * len(assign)
     if len(assign) == inst.n_agents:
         sizes = inst.sizes
-        agent_rank = inst.agent_rank
+        agent_prefs = inst.agent_prefs
+        edge_ranks = inst.agent_pref_hranks_neg
         for a, h in enumerate(assign):
             if h == UNMATCHED:
                 continue
-            if h not in agent_rank[a]:
+            try:
+                held[a] = -edge_ranks[a][agent_prefs[a].index(h)]
+            except ValueError:  # not on a's list
                 break
             free[h] -= sizes[a]
             if h in residents:
@@ -268,16 +272,16 @@ def _placed(inst: HrsInstance, matching: Matching) -> tuple[list[int], dict[int,
                 residents[h] = [a]
         else:
             if min(free, default=0) >= 0:
-                return free, residents
+                return free, residents, held
     _, msg = is_feasible(inst, matching)
     raise ValueError(f"infeasible matching: {msg}")
 
 
 def _scan_all(inst: HrsInstance, matching: Matching, kind: str, collect: bool,
               out: list[BlockingWitness] | None) -> bool:
-    free, residents = _placed(inst, matching)
+    free, residents, held = _placed(inst, matching)
     return _scan_pairs(
-        inst, matching.assign, kind, free, residents, range(inst.n_agents), collect, out
+        inst, matching.assign, kind, free, residents, held, range(inst.n_agents), collect, out
     )
 
 
@@ -364,15 +368,17 @@ def _residual_pairs(
                 f"matching infeasible under residual capacities at {inst.hospital_labels[h]}"
             )
         free[h] = residual_caps[h] - occ
+    held: dict[int, int] = {}
     for a in matched:
         h = assign[a]
-        if a not in agent_set or h not in inst.agent_rank[a]:
+        if a not in agent_set or h not in inst.agent_prefs[a]:
             raise ValueError(
                 f"matched pair ({inst.agent_labels[a]}, {inst.hospital_labels[h]}) "
                 "outside the given subgraph"
             )
+        held[a] = -inst.agent_pref_hranks_neg[a][inst.agent_prefs[a].index(h)]
     out: list[BlockingWitness] = []
-    _scan_pairs(inst, assign, CLASSIC, free, residents, agents, True, out)
+    _scan_pairs(inst, assign, CLASSIC, free, residents, held, agents, True, out)
     return out
 
 

@@ -87,15 +87,15 @@ def naive_blocking_pairs(inst: HrsInstance, matching: Matching, kind: str, caps=
     pairs = []
     for a in range(inst.n_agents):
         cur = assign[a]
-        cur_rank = inst.agent_rank[a][cur] if cur != UNMATCHED else len(inst.agent_prefs[a])
-        for h in inst.agent_prefs[a]:
-            if h == cur or inst.agent_rank[a][h] >= cur_rank:
-                continue
+        prefs = inst.agent_prefs[a]
+        cur_rank = prefs.index(cur) if cur != UNMATCHED else len(prefs)
+        for h in prefs[:cur_rank]:
+            rank = inst.hospital_prefs[h].index
             blocked = False
             members = matched_at[h]
             for r in range(len(members) + 1):
                 for X in itertools.combinations(members, r):
-                    if any(inst.hospital_rank[h][b] <= inst.hospital_rank[h][a] for b in X):
+                    if any(rank(b) <= rank(a) for b in X):
                         continue  # X must be strictly lower-preferred than a
                     removed = sum(inst.sizes[b] for b in X)
                     if occ[h] - removed + inst.sizes[a] > caps[h]:

@@ -5,7 +5,16 @@ import pytest
 
 from hrs.cli import main
 from hrs.model import HrsInstance, parse_instance, serialize_instance, matching_to_json, Matching
-from hrs.harness import GenParams, approx_gap_example, gen_random, no_stable_example
+from hrs.harness import (
+    GenParams, approx_gap_example, gen_master_list, gen_random, no_stable_example,
+)
+from hrs.partition import (
+    OrderedPartition,
+    detect_generalized_master_list,
+    serialize_partition,
+    size_descending_partition,
+)
+from hrs.solver import solve
 
 
 @pytest.fixture
@@ -70,6 +79,37 @@ def test_solve_with_partition_file(capsys, example_files, tmp_path):
     code, out, _ = run(capsys, "solve", example_files["no_stable"], "--ordering", f"file:{part}")
     assert code == 0
     assert json.loads(out)["matched"] == {"a1": "h1", "a3": "h2"}
+
+
+@pytest.mark.parametrize("ordering", ["size-desc", "detect", "file"])
+def test_solve_prints_the_final_matching_with_or_without_trace(capsys, tmp_path, ordering):
+    # without --trace no trace is built; stdout is still solve(...).final
+    inst = gen_master_list(GenParams(n_agents=40, n_hospitals=6, size_range=(1, 4), seed=3))
+    path = tmp_path / "ml.hrs"
+    path.write_text(serialize_instance(inst))
+    if ordering == "size-desc":
+        partition = size_descending_partition(inst)
+    elif ordering == "detect":
+        partition = detect_generalized_master_list(inst)
+    else:
+        partition = OrderedPartition(tuple((a,) for a in range(inst.n_agents)), "user")
+        (tmp_path / "p.txt").write_text(serialize_partition(inst, partition))
+        ordering = f"file:{tmp_path / 'p.txt'}"
+    expected = json.dumps(matching_to_json(inst, solve(inst, partition).final), sort_keys=True)
+    argv = ["solve", str(path), "--ordering", ordering]
+    assert run(capsys, *argv) == (0, expected + "\n", "")
+    assert run(capsys, *argv, "--trace", str(tmp_path / "t.json")) == (0, expected + "\n", "")
+
+
+def test_solve_rejects_a_bad_partition_file_with_or_without_trace(capsys, example_files, tmp_path):
+    part = tmp_path / "p.txt"
+    part.write_text("a3\na1\n")  # a2 in no class
+    argv = ["solve", example_files["no_stable"], "--ordering", f"file:{part}"]
+    untraced = run(capsys, *argv)
+    assert untraced[0] == 2 and untraced[1] == ""
+    assert untraced[2].startswith("hrs: invalid partition: ")
+    assert run(capsys, *argv, "--trace", str(tmp_path / "t.json")) == untraced
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_verify_exit_codes(capsys, example_files, tmp_path):

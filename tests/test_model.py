@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -192,6 +195,49 @@ def test_index_constructor_rejects_bad_indices():
         HrsInstance(["a1"], [1, 1], [[]], [], [], [])
     with pytest.raises(InstanceError, match="hospital h1: lists a1 which does not list it back"):
         HrsInstance(["a1"], [1], [[]], ["h1"], [1], [[0]])
+
+
+@pytest.mark.parametrize(
+    "agent_prefs,hospital_prefs,message",
+    [
+        # an agent list with a repeat, on its own and with the hospital lists
+        # as long in total as the agent lists
+        ([[0, 0], []], [[0], []], "agent a1: preference list not strict (duplicate entry)"),
+        ([[0, 0], []], [[0], [0]], "agent a1: preference list not strict (duplicate entry)"),
+        ([[2], []], [[0], []], "agent a1: lists unknown hospital 2"),
+        ([[0], []], [[0, 2], []], "hospital h1: lists unknown agent 2"),
+        ([[0], []], [[0, -1], []], "hospital h1: lists unknown agent -1"),
+        ([[0], []], [[0.0], []], "hospital h1: lists unknown agent 0.0"),
+        ([[1.0], []], [[], [0]], "agent a1: lists unknown hospital 1.0"),
+        ([[True], []], [[], [1]], "agent a1: lists h2 which does not list it back"),
+    ],
+)
+def test_index_constructor_checks_every_list_entry(agent_prefs, hospital_prefs, message):
+    with pytest.raises(InstanceError) as err:
+        HrsInstance(["a1", "a2"], [1, 1], agent_prefs, ["h1", "h2"], [1, 1], hospital_prefs)
+    assert str(err.value) == message
+
+
+def test_index_constructor_takes_a_bool_as_the_int_it_equals():
+    as_bool = HrsInstance(["a1", "a2"], [1, 1], [[True], []], ["h1", "h2"], [1, 1], [[], [False]])
+    as_int = HrsInstance(["a1", "a2"], [1, 1], [[1], []], ["h1", "h2"], [1, 1], [[], [0]])
+    assert as_bool == as_int and as_bool.agent_pref_hranks_neg == ((0,), ())
+
+
+def test_instance_keeps_each_preference_once():
+    # each list entry is stored in the two lists and the per-edge ranks, a
+    # word each; with labels and label indexes a 200k-edge instance holds
+    # about 38 bytes an edge, and a per-vertex rank table would add 50 more
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        inst = gen_random(GenParams(n_agents=10_000, n_hospitals=20, seed=1))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert inst.n_edges == 200_000
+    assert held / inst.n_edges < 50
 
 
 @pytest.mark.parametrize("label", ["", "h 1", "h#1", ":"])

@@ -534,7 +534,7 @@ def test_budget_bounds_the_product_of_components():
         res = stable_matchings(inst, budget)
         assert res.verdict == EXHAUSTED and res.nodes <= 2048
         assert 0 < len(res.matchings) < res.nodes and first == res.matchings[0]
-        ranks = [[inst.agent_rank[a][h] for a, h in enumerate(m.assign)] for m in res.matchings]
+        ranks = [list(map(tuple.index, inst.agent_prefs, m.assign)) for m in res.matchings]
         assert ranks == sorted(ranks)
         assert all(is_stable(inst, m) for m in res.matchings[:50])
 

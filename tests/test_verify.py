@@ -82,15 +82,16 @@ def test_witness_arithmetic_sound():
                 for w in finder(inst, matching):
                     assert w.kind == kind
                     a, h = w.agent, w.hospital
-                    assert h in inst.agent_rank[a]
+                    prefs, rank = inst.agent_prefs[a], inst.hospital_prefs[h].index
+                    assert h in prefs
                     assert matching.assign[a] != h
                     cur = matching.assign[a]
                     if cur != UNMATCHED:
-                        assert inst.agent_rank[a][h] < inst.agent_rank[a][cur]
+                        assert prefs.index(h) < prefs.index(cur)
                     removed = 0
                     for b in w.displaced:
                         assert matching.assign[b] == h
-                        assert inst.hospital_rank[h][b] > inst.hospital_rank[h][a]
+                        assert rank(b) > rank(a)
                         removed += inst.sizes[b]
                     assert occ[h] - removed + inst.sizes[a] <= inst.caps[h]
                     if kind == "occupancy":
@@ -100,8 +101,8 @@ def test_witness_arithmetic_sound():
 def brute_force_eviction(inst, matching, caps, a, h, kind):
     """Smallest-total, then lexicographically smallest, eviction set for a
     pair by trying every subset of h's lower-ranked residents."""
-    rank = inst.hospital_rank[h]
-    lower = [b for b, hh in enumerate(matching.assign) if hh == h and rank[b] > rank[a]]
+    rank = inst.hospital_prefs[h].index
+    lower = [b for b, hh in enumerate(matching.assign) if hh == h and rank(b) > rank(a)]
     occ = sum(inst.sizes[b] for b, hh in enumerate(matching.assign) if hh == h)
     need = occ + inst.sizes[a] - caps[h]
     candidates = []
