@@ -9,10 +9,10 @@ so the hospital never loses occupancy by the swap. A matching is stable
 
 Every verifier runs one scan. A hospital's eviction table is built on its
 first candidate pair that needs an eviction: its residents sorted by its rank
-of them, which the pass placing the matching reads off each resident's list,
-and over each suffix of that order (worst-ranked upward) the evictable size
-total and the reachable subset sums as an integer bitset masked to the largest
-agent size. Building costs O(|M(h)| log |M(h)|).
+(read off each resident's own list as the matching is placed), and over each
+suffix of that order (worst-ranked upward) the evictable size total and the
+reachable subset sums as an integer bitset masked to the largest agent size.
+Building costs O(|M(h)| log |M(h)|).
 
 The pair test is written once, in ``_frees``: for an agent that needs more
 room than h has free, can evicting residents h ranks below it free enough?
@@ -121,8 +121,8 @@ def _frees(reach: int, need: int, room: int, occupancy: bool) -> bool:
 
 
 def _rank_bound(
-    order: list[int], evictable: list[int], rank: Sequence[int], need: int, room: int,
-    occupancy: bool,
+    order: list[int], evictable: list[int], rank: Sequence[int] | dict[int, int],
+    need: int, room: int, occupancy: bool,
 ) -> int:
     """An agent that needs ``need`` more than the hospital's free ``room``
     passes ``_frees`` exactly when the hospital ranks it better than the
@@ -146,7 +146,7 @@ def _scan_pairs(
     kind: str,
     free: list[int],
     residents: dict[int, list[int]],
-    held: Sequence[int],
+    held: Sequence[int] | dict[int, int],
     agents: Iterable[int],
     collect: bool,
     out: list[BlockingWitness] | None,

@@ -195,13 +195,9 @@ def test_index_constructor_rejects_bad_indices():
         HrsInstance(["a1"], [1, 1], [[]], [], [], [])
     with pytest.raises(InstanceError, match="hospital h1: lists a1 which does not list it back"):
         HrsInstance(["a1"], [1], [[]], ["h1"], [1], [[0]])
-
-
-@pytest.mark.parametrize(
-    "agent_prefs,hospital_prefs,message",
-    [
-        # an agent list with a repeat, on its own and with the hospital lists
-        # as long in total as the agent lists
+    # a repeated agent entry, also where the hospital lists balance the
+    # totals, and entries out of range, negative, float or bool on either side
+    for agent_prefs, hospital_prefs, message in [
         ([[0, 0], []], [[0], []], "agent a1: preference list not strict (duplicate entry)"),
         ([[0, 0], []], [[0], [0]], "agent a1: preference list not strict (duplicate entry)"),
         ([[2], []], [[0], []], "agent a1: lists unknown hospital 2"),
@@ -210,12 +206,10 @@ def test_index_constructor_rejects_bad_indices():
         ([[0], []], [[0.0], []], "hospital h1: lists unknown agent 0.0"),
         ([[1.0], []], [[], [0]], "agent a1: lists unknown hospital 1.0"),
         ([[True], []], [[], [1]], "agent a1: lists h2 which does not list it back"),
-    ],
-)
-def test_index_constructor_checks_every_list_entry(agent_prefs, hospital_prefs, message):
-    with pytest.raises(InstanceError) as err:
-        HrsInstance(["a1", "a2"], [1, 1], agent_prefs, ["h1", "h2"], [1, 1], hospital_prefs)
-    assert str(err.value) == message
+    ]:
+        with pytest.raises(InstanceError) as err:
+            HrsInstance(["a1", "a2"], [1, 1], agent_prefs, ["h1", "h2"], [1, 1], hospital_prefs)
+        assert str(err.value) == message
 
 
 def test_index_constructor_takes_a_bool_as_the_int_it_equals():
