@@ -507,6 +507,8 @@ def matching_from_json(inst: HrsInstance, data: dict) -> Matching:
     for a_label, h_label in matched.items():
         if a_label not in inst.agent_index:
             raise InstanceError(f"unknown agent {a_label!r} in matching")
+        if not isinstance(h_label, str):
+            raise InstanceError(f"hospital of agent {a_label!r} is not a label: {h_label!r}")
         if h_label not in inst.hospital_index:
             raise InstanceError(f"unknown hospital {h_label!r} in matching")
         pairs.append((inst.agent_index[a_label], inst.hospital_index[h_label]))

@@ -19,22 +19,22 @@ occupancy-stable and its total size is within a factor 3 of the best
 occupancy-stable matching. Run with any partition the hospital lists follow
 (a generalized master list), the final matching is stable outright.
 
-``solve`` returns the full trace (per-round agents, residual capacities, round
-and cumulative matchings) so the round invariants can be audited. It holds no
-edge sets: a round's subgraph is every edge of its agents, so round subgraphs
-are disjoint because the validated partition's classes are. The audit checks
-that each round runs its class on the capacities left by the rounds before,
-that the final matching is exactly the union of the round matchings, that
-occupancy never decreases, and that no round has a blocking pair within its
-subgraph and capacities. One round's audit costs time proportional to its edges.
+``solve`` returns the trace: each round's agents, residual capacities and
+matching, stored once. Everything else is derived from the rounds: the final
+matching (and ``trace_to_json``'s per-round unions) is the union of the round
+matchings, and a round's subgraph is every edge of its agents, so round
+subgraphs are disjoint because the validated partition's classes are. The
+audit checks that each round runs its class on the capacities left by the
+rounds before and has no blocking pair within its subgraph and capacities.
+One round's audit costs time proportional to its edges.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappush, heapreplace
-from operator import sub
 from typing import Sequence
 
 from .model import (
@@ -43,10 +43,9 @@ from .model import (
     Matching,
     ValidationReport,
     matching_to_json,
-    occupancies,
 )
 from .partition import OrderedPartition, _size_classes, validate_ordered_partition
-from .verify import _agent_lists, _residual_pairs
+from .verify import find_blocking_pairs_residual
 
 
 @dataclass(frozen=True)
@@ -57,12 +56,37 @@ class SolveRound:
     matching: Matching              # pairs added this round
 
 
-@dataclass(frozen=True)
+def _add_round(assign: list[int], rnd: SolveRound) -> None:
+    """Write the round's pairs, those of its own agents, into ``assign``."""
+    matched = rnd.matching.assign
+    for a in rnd.agents:
+        if matched[a] != UNMATCHED:
+            assign[a] = matched[a]
+
+
+@dataclass(frozen=True, init=False)
 class SolveTrace:
+    """The rounds of one solve, in order. ``final`` is the union of the round
+    matchings, built on first read. Passing ``final`` to the constructor (or
+    to ``dataclasses.replace``) reports that matching instead, so a test can
+    plant a fault in it; ``check_trace`` audits the rounds only."""
+
     partition: OrderedPartition
     rounds: tuple[SolveRound, ...]
-    cumulative: tuple[Matching, ...]
-    final: Matching
+
+    def __init__(self, partition: OrderedPartition, rounds: tuple[SolveRound, ...],
+                 final: Matching | None = None):
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "rounds", rounds)
+        if final is not None:
+            self.__dict__["final"] = final
+
+    @cached_property
+    def final(self) -> Matching:
+        assign = [UNMATCHED] * (len(self.rounds[0].matching.assign) if self.rounds else 0)
+        for rnd in self.rounds:
+            _add_round(assign, rnd)
+        return Matching(assign)
 
 
 class _Kernel:
@@ -175,25 +199,17 @@ def _check_partition(inst: HrsInstance, partition: OrderedPartition) -> None:
 
 
 def solve(inst: HrsInstance, partition: OrderedPartition) -> SolveTrace:
-    """Run all rounds of the partition in order and return the full trace."""
+    """Run all rounds of the partition in order and return the trace."""
     _check_partition(inst, partition)
     room = list(inst.caps)
     kernel = _Kernel(inst, room)
-    cum_assign = [UNMATCHED] * inst.n_agents
     rounds: list[SolveRound] = []
-    cumulative: list[Matching] = []
     for k, cls in enumerate(partition.classes, start=1):
         residual = tuple(room)
-        round_assign = [UNMATCHED] * inst.n_agents
-        kernel.round(cls, inst.sizes[cls[0]], round_assign)  # a valid class is nonempty
-        for a in cls:
-            h = round_assign[a]
-            if h != UNMATCHED:
-                cum_assign[a] = h
-        rounds.append(SolveRound(k, cls, residual, Matching(round_assign)))
-        cumulative.append(Matching(cum_assign))
-    final = cumulative[-1] if cumulative else Matching.empty(inst)
-    return SolveTrace(partition, tuple(rounds), tuple(cumulative), final)
+        assign = [UNMATCHED] * inst.n_agents
+        kernel.round(cls, inst.sizes[cls[0]], assign)  # a valid class is nonempty
+        rounds.append(SolveRound(k, cls, residual, Matching(assign)))
+    return SolveTrace(partition, tuple(rounds))
 
 
 def _final(inst: HrsInstance, classes: Sequence[Sequence[int]]) -> Matching:
@@ -221,115 +237,65 @@ def solve_occupancy(inst: HrsInstance) -> Matching:
 
 
 def check_trace(inst: HrsInstance, trace: SolveTrace) -> ValidationReport:
-    """Audit a trace against the round invariants; empty report on success.
+    """Audit a trace's rounds against the round invariants; empty report on
+    success.
 
-    A round's checks visit only its own agents and edges; the whole instance
-    is walked only to locate a fault that has already been detected."""
+    Each round must run its partition class on the capacities minus what its
+    agents' pairs in earlier rounds occupy, and ``find_blocking_pairs_residual``
+    must find no blocking pair within its subgraph and residual capacities;
+    that scan also rejects a pair outside the round's agents and their lists,
+    or over the residual capacities. The final matching is the union of the
+    round matchings, so it needs no audit of its own, and occupancy needs no
+    pass to show it never decreases: the rounds match disjoint classes, and
+    each only adds pairs of its own class. A round's checks visit its own
+    agents and edges, plus C-speed passes over the capacity and assignment
+    vectors."""
     report = ValidationReport()
-    part_report = validate_ordered_partition(inst, trace.partition)
-    for issue in part_report.issues:
+    for issue in validate_ordered_partition(inst, trace.partition).issues:
         report.add(issue.severity, issue.location, issue.message)
     if len(trace.rounds) != len(trace.partition.classes):
         report.add("error", "trace", "round count differs from class count")
         return report
-    if len(trace.cumulative) != len(trace.rounds):
-        report.add("error", "trace", "cumulative count differs from round count")
-        return report
-
-    # rounds must use exactly their class; each round's own blocking audit
-    # runs here too and is reported last. round_matched[k] lists the agents
-    # round k matched, ascending
-    n_agents = inst.n_agents
-    agent_prefs = inst.agent_prefs
-    round_matched: list[list[int]] = []
-    blocking_issues: list[tuple[str, str]] = []
+    sizes = inst.sizes
+    n_agents, n_hospitals = inst.n_agents, inst.n_hospitals
+    room = list(inst.caps)
     for rnd, cls in zip(trace.rounds, trace.partition.classes):
         loc = f"round {rnd.index}"
-        if tuple(sorted(rnd.agents)) != tuple(sorted(cls)):
+        if sorted(rnd.agents) != sorted(cls):
             report.add("error", loc, "round agents differ from partition class")
-        assign = rnd.matching.assign
-        agent_set, agents, matched = _agent_lists(n_agents, assign, rnd.agents)
-        round_matched.append(matched)
-        for a in matched:
-            h = assign[a]
-            if a not in agent_set:
-                report.add("error", loc, f"matched agent {inst.agent_labels[a]} outside class")
-            if a not in agent_set or h not in agent_prefs[a]:
-                report.add("error", loc, f"matched pair ({a}, {h}) outside round edges")
+        if list(rnd.residual_caps) != room:
+            report.add(
+                "error", loc, "residual capacities differ from capacities minus earlier occupancy"
+            )
         try:
-            # find_blocking_pairs_residual on the agent lists built above
-            blocking = _residual_pairs(
-                inst, assign, rnd.residual_caps, agent_set, agents, matched
+            blocking = find_blocking_pairs_residual(
+                inst, rnd.matching, rnd.residual_caps, rnd.agents
             )
         except ValueError as exc:
-            blocking_issues.append((loc, str(exc)))
-            continue
+            report.add("error", loc, str(exc))
+            blocking = []
         for w in blocking:
-            blocking_issues.append((
-                loc,
+            report.add(
+                "error", loc,
                 f"round blocking pair ({inst.agent_labels[w.agent]}, "
                 f"{inst.hospital_labels[w.hospital]})",
-            ))
-
-    # cumulative[k] must equal cumulative[k-1] plus this round's pairs, and
-    # the final matching exactly the union of round matchings. Both are
-    # checked on assignment vectors; an agent given two hospitals cannot be
-    # part of any matching, so it fails the comparison
-    prev_assign = (UNMATCHED,) * n_agents
-    union = [UNMATCHED] * n_agents
-    union_ok = True
-    consistent: list[bool] = []
-    for rnd, cum, matched in zip(trace.rounds, trace.cumulative, round_matched):
-        assign = rnd.matching.assign
-        expected = list(prev_assign)
-        ok = True
-        for a in matched:
-            h = assign[a]
-            ok = ok and expected[a] in (UNMATCHED, h)
-            union_ok = union_ok and union[a] in (UNMATCHED, h)
-            expected[a] = union[a] = h
-        ok = ok and tuple(expected) == cum.assign
-        if not ok:
-            report.add("error", f"round {rnd.index}", "cumulative matching is not the union so far")
-        consistent.append(ok)
-        prev_assign = cum.assign
-    if not (union_ok and tuple(union) == trace.final.assign):
-        report.add("error", "final", "final matching differs from union of rounds")
-
-    # a round's residual capacities are what the cumulative matching before it
-    # leaves, and occupancy never decreases; a cumulative matching that adds
-    # exactly its round's pairs cannot lower one, so only the others are recounted
-    sizes = inst.sizes
-    prev_occ = [0] * inst.n_hospitals
-    prev_assign = (UNMATCHED,) * n_agents
-    for rnd, cum, matched, ok in zip(trace.rounds, trace.cumulative, round_matched, consistent):
-        if list(map(sub, inst.caps, prev_occ)) != list(rnd.residual_caps):
-            report.add(
-                "error", f"round {rnd.index}",
-                "residual capacities differ from capacities minus earlier occupancy",
             )
-        if ok:
-            occ = prev_occ[:]
-            for a in matched:
-                if prev_assign[a] == UNMATCHED:
-                    occ[cum.assign[a]] += sizes[a]
-        else:
-            occ = occupancies(inst, cum)
-            for h in range(inst.n_hospitals):
-                if occ[h] < prev_occ[h]:
-                    report.add(
-                        "error", f"round {rnd.index}",
-                        f"occupancy of {inst.hospital_labels[h]} decreased",
-                    )
-        prev_occ = occ
-        prev_assign = cum.assign
-
-    for loc, message in blocking_issues:
-        report.add("error", loc, message)
+        matched = rnd.matching.assign
+        end = min(n_agents, len(matched))
+        for a in rnd.agents:  # the guards skip a faulty round's out-of-range pairs
+            if 0 <= a < end and 0 <= matched[a] < n_hospitals:
+                room[matched[a]] -= sizes[a]
     return report
 
 
 def trace_to_json(inst: HrsInstance, trace: SolveTrace) -> dict:
+    """The trace as JSON, with the union of the round matchings after each
+    round as ``cumulative``."""
+    union = [UNMATCHED] * inst.n_agents
+    cumulative = []
+    for rnd in trace.rounds:
+        _add_round(union, rnd)
+        cumulative.append(matching_to_json(inst, Matching(union)))
     return {
         "partition": [
             [inst.agent_labels[a] for a in cls] for cls in trace.partition.classes
@@ -352,6 +318,6 @@ def trace_to_json(inst: HrsInstance, trace: SolveTrace) -> dict:
             }
             for rnd in trace.rounds
         ],
-        "cumulative": [matching_to_json(inst, m) for m in trace.cumulative],
+        "cumulative": cumulative,
         "final": matching_to_json(inst, trace.final),
     }

@@ -310,52 +310,39 @@ def find_blocking_pairs_residual(
 
     The subgraph is every edge of the given agents; out-of-range indices are
     ignored. The matching must match only those agents, along their lists,
-    within the residual capacities. Work is proportional to the agents' edges
-    plus C-speed passes over the capacity and assignment vectors, so auditing
-    every round of a solve costs about one full scan.
+    within the residual capacities; a fault raises ValueError. Work is
+    proportional to the agents' edges plus C-speed passes over the capacity
+    and assignment vectors, so auditing every round of a solve costs about
+    one full scan.
     """
     assign = matching.assign
-    lists = _agent_lists(inst.n_agents, assign, agents)
-    return _residual_pairs(inst, assign, residual_caps, *lists)
-
-
-def _agent_lists(
-    n_agents: int, assign: Sequence[int], agents: Iterable[int]
-) -> tuple[set[int], list[int], list[int]]:
-    """The given agents in range, as a set and ascending, and the matched ones
-    among them in that order. When some matched agent lies outside them, every
-    matched agent instead, so the report names the same first fault as a full
-    scan would."""
-    agent_set = set(agents)
-    ordered = sorted(agent_set)
-    if ordered and (ordered[0] < 0 or ordered[-1] >= n_agents):
-        ordered = [a for a in ordered if 0 <= a < n_agents]
-        agent_set = set(ordered)
-    matched = [a for a in ordered if assign[a] != UNMATCHED]
-    if len(matched) != len(assign) - assign.count(UNMATCHED):
-        matched = [a for a, h in enumerate(assign) if h != UNMATCHED]
-    return agent_set, ordered, matched
-
-
-def _residual_pairs(
-    inst: HrsInstance,
-    assign: Sequence[int],
-    residual_caps: Sequence[int],
-    agent_set: set[int],
-    agents: list[int],
-    matched: list[int],
-) -> list[BlockingWitness]:
-    """``find_blocking_pairs_residual`` once ``_agent_lists`` has listed its
-    agents."""
+    n_agents = inst.n_agents
+    if len(assign) != n_agents:
+        raise ValueError("infeasible matching: assignment length does not match agent count")
     residual_caps = list(residual_caps)
     if len(residual_caps) != inst.n_hospitals:
         raise ValueError("residual capacity vector has wrong length")
     if residual_caps and min(residual_caps) < 0:
         raise ValueError("negative residual capacity")
     sizes = inst.sizes
+    agent_set = set(agents)
+    ordered = sorted(agent_set)
+    if ordered and (ordered[0] < 0 or ordered[-1] >= n_agents):
+        ordered = [a for a in ordered if 0 <= a < n_agents]
+        agent_set = set(ordered)
+    matched = [a for a in ordered if assign[a] != UNMATCHED]
+    if len(matched) != n_agents - assign.count(UNMATCHED):
+        # some matched agent lies outside them: list every matched agent, so
+        # the report names the same first fault as a full scan would
+        matched = [a for a, h in enumerate(assign) if h != UNMATCHED]
     residents: dict[int, list[int]] = {}
     for a in matched:
         h = assign[a]
+        if not 0 <= h < len(residual_caps):
+            raise ValueError(
+                f"infeasible matching: agent {inst.agent_labels[a]} "
+                f"assigned to unknown hospital index {h}"
+            )
         if h in residents:
             residents[h].append(a)
         else:
@@ -378,7 +365,7 @@ def _residual_pairs(
             )
         held[a] = -inst.agent_pref_hranks_neg[a][inst.agent_prefs[a].index(h)]
     out: list[BlockingWitness] = []
-    _scan_pairs(inst, assign, CLASSIC, free, residents, held, agents, True, out)
+    _scan_pairs(inst, assign, CLASSIC, free, residents, held, ordered, True, out)
     return out
 
 

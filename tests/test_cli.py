@@ -26,6 +26,23 @@ def example_files(tmp_path):
     return {"no_stable": str(no_stable), "gap": str(gap), "dir": tmp_path}
 
 
+# `hrs solve --trace` on the README's example instance, byte for byte: the
+# cumulative and final matchings are the unions of the round matchings
+NO_STABLE_TRACE = (
+    '{"cumulative": [{"matched": {"a3": "h2"}, "occupancy": {"h1": 0, "h2": 2}, "size": 2, '
+    '"unmatched": ["a1", "a2"]}, {"matched": {"a1": "h1", "a3": "h2"}, "occupancy": '
+    '{"h1": 1, "h2": 2}, "size": 3, "unmatched": ["a2"]}], "final": {"matched": '
+    '{"a1": "h1", "a3": "h2"}, "occupancy": {"h1": 1, "h2": 2}, "size": 3, "unmatched": '
+    '["a2"]}, "partition": [["a3"], ["a1", "a2"]], "provenance": "size_descending", '
+    '"rounds": [{"agents": ["a3"], "edges": [["a3", "h2"]], "k": 1, "matching": '
+    '{"matched": {"a3": "h2"}, "occupancy": {"h1": 0, "h2": 2}, "size": 2, "unmatched": '
+    '["a1", "a2"]}, "residual_caps": {"h1": 1, "h2": 2}}, {"agents": ["a1", "a2"], '
+    '"edges": [["a1", "h2"], ["a1", "h1"], ["a2", "h1"], ["a2", "h2"]], "k": 2, '
+    '"matching": {"matched": {"a1": "h1"}, "occupancy": {"h1": 1, "h2": 0}, "size": 1, '
+    '"unmatched": ["a2", "a3"]}, "residual_caps": {"h1": 1, "h2": 0}}]}\n'
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -48,13 +65,7 @@ def test_solve_writes_trace_only_with_flag(capsys, example_files, tmp_path):
     trace_path = tmp_path / "trace.json"
     code, _, _ = run(capsys, "solve", example_files["no_stable"], "--trace", str(trace_path))
     assert code == 0
-    trace = json.loads(trace_path.read_text())
-    assert len(trace["rounds"]) == 2
-    assert [r["edges"] for r in trace["rounds"]] == [
-        [["a3", "h2"]],
-        [["a1", "h2"], ["a1", "h1"], ["a2", "h1"], ["a2", "h2"]],
-    ]
-    assert trace["final"]["size"] == 3
+    assert trace_path.read_text() == NO_STABLE_TRACE
 
 
 def test_solve_detect_fails_cleanly(capsys, example_files):
@@ -138,6 +149,15 @@ def test_verify_unknown_agent_is_input_error(capsys, example_files, tmp_path):
     mfile.write_text(json.dumps({"matched": {"zz": "h1"}}))
     code, _, err = run(capsys, "verify", example_files["no_stable"], "--matching", str(mfile))
     assert code == 4 and "unknown agent" in err
+
+
+def test_verify_non_string_hospital_is_input_error(capsys, example_files, tmp_path):
+    # an unhashable label must not escape as TypeError (a traceback, exit 1)
+    mfile = tmp_path / "bad.json"
+    mfile.write_text(json.dumps({"matched": {"a1": ["h1"]}}))
+    code, out, err = run(capsys, "verify", example_files["no_stable"], "--matching", str(mfile))
+    assert (code, out) == (4, "")
+    assert err == "hrs: hospital of agent 'a1' is not a label: ['h1']\n"
 
 
 def test_oracle_stable_count_zero(capsys, example_files):

@@ -1,9 +1,10 @@
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
-from hrs.model import HrsInstance, InstanceError, Matching, is_feasible, matching_size
+from hrs.model import UNMATCHED, HrsInstance, InstanceError, Matching, is_feasible, matching_size
 from hrs.partition import (
     OrderedPartition,
     detect_generalized_master_list,
@@ -111,8 +112,11 @@ def test_trace_structure(no_stable_inst):
     # round one: only the size-2 agent, full capacities
     assert trace.rounds[0].residual_caps == (1, 2)
     assert trace.rounds[1].residual_caps == (1, 0)
-    assert trace.cumulative[-1] == trace.final
+    assert trace.final == Matching.from_labeled_pairs(no_stable_inst, [("a1", "h1"), ("a3", "h2")])
     assert check_trace(no_stable_inst, trace).ok
+    # a final given to the constructor is reported as is
+    pinned = replace(trace, final=Matching.empty(no_stable_inst))
+    assert pinned.final == Matching.empty(no_stable_inst) and pinned.rounds == trace.rounds
 
 
 def test_check_trace_on_random_instances():
@@ -128,51 +132,17 @@ def test_check_trace_catches_overlapping_round_agents(no_stable_inst):
     r0, r1 = trace.rounds
     # round two also claims round one's agent, so its subgraph overlaps round one's
     overlapping = SolveRound(r1.index, r1.agents + r0.agents, r1.residual_caps, r1.matching)
-    corrupted = SolveTrace(trace.partition, (r0, overlapping), trace.cumulative, trace.final)
+    corrupted = SolveTrace(trace.partition, (r0, overlapping))
     assert issues(check_trace(no_stable_inst, corrupted)) == [
         ("error", "round 2", "round agents differ from partition class"),
     ]
 
 
-def test_check_trace_catches_missing_union(no_stable_inst):
-    trace = solve(no_stable_inst, size_descending_partition(no_stable_inst))
-    dropped = Matching.empty(no_stable_inst)  # pretend round-one pairs vanished
-    corrupted = SolveTrace(
-        trace.partition,
-        trace.rounds,
-        (trace.cumulative[0], dropped),
-        dropped,
-    )
-    report = check_trace(no_stable_inst, corrupted)
-    assert any("union" in i.message for i in report.issues)
-
-
-def test_check_trace_catches_occupancy_drop(no_stable_inst):
-    trace = solve(no_stable_inst, size_descending_partition(no_stable_inst))
-    # final that forgets the round-one agent: occupancy at h2 decreases
-    final = Matching.from_labeled_pairs(no_stable_inst, [("a1", "h1")])
-    corrupted = SolveTrace(
-        trace.partition,
-        trace.rounds,
-        (trace.cumulative[0], final),
-        final,
-    )
-    report = check_trace(no_stable_inst, corrupted)
-    assert any("decreased" in i.message or "union" in i.message for i in report.issues)
-
-
 def tampered_round(trace, k, pairs, inst):
-    """The trace with round k's matching replaced by ``pairs`` (labels) and
-    the cumulative and final matchings rebuilt to stay consistent with it."""
+    """The trace with round k's matching replaced by ``pairs`` (labels)."""
     rounds = list(trace.rounds)
-    r = rounds[k]
-    rounds[k] = SolveRound(r.index, r.agents, r.residual_caps,
-                           Matching.from_labeled_pairs(inst, pairs))
-    cumulative, union = [], {}
-    for rnd in rounds:
-        union.update(rnd.matching.pairs())
-        cumulative.append(Matching.from_pairs(inst, union.items()))
-    return SolveTrace(trace.partition, tuple(rounds), tuple(cumulative), cumulative[-1])
+    rounds[k] = replace(rounds[k], matching=Matching.from_labeled_pairs(inst, pairs))
+    return replace(trace, rounds=tuple(rounds))
 
 
 def issues(report):
@@ -194,11 +164,8 @@ def test_check_trace_catches_agent_outside_round(no_stable_inst):
     r0, r1 = trace.rounds
     moved = SolveRound(r0.index, r0.agents, r0.residual_caps,
                        Matching.from_labeled_pairs(no_stable_inst, [("a3", "h2"), ("a1", "h1")]))
-    corrupted = SolveTrace(trace.partition, (moved, r1), trace.cumulative, trace.final)
+    corrupted = SolveTrace(trace.partition, (moved, r1))
     assert issues(check_trace(no_stable_inst, corrupted)) == [
-        ("error", "round 1", "matched agent a1 outside class"),
-        ("error", "round 1", "matched pair (0, 0) outside round edges"),
-        ("error", "round 1", "cumulative matching is not the union so far"),
         ("error", "round 1", "matched pair (a1, h1) outside the given subgraph"),
     ]
 
@@ -211,11 +178,22 @@ def test_check_trace_catches_inflated_residual_caps(no_stable_inst):
     tampered = tampered_round(trace, 1, [("a1", "h2"), ("a2", "h1")], inst)
     r1 = tampered.rounds[1]
     inflated = SolveRound(r1.index, r1.agents, (1, 2), r1.matching)
-    corrupted = SolveTrace(tampered.partition, (tampered.rounds[0], inflated),
-                           tampered.cumulative, tampered.final)
+    corrupted = SolveTrace(tampered.partition, (tampered.rounds[0], inflated))
     assert is_feasible(inst, corrupted.final) == (False, "hospital h2 over capacity: 3 > 2")
     assert issues(check_trace(inst, corrupted)) == [
         ("error", "round 2", "residual capacities differ from capacities minus earlier occupancy"),
+    ]
+
+
+def test_check_trace_reports_a_malformed_round_matching(no_stable_inst):
+    trace = solve(no_stable_inst, size_descending_partition(no_stable_inst))
+    r0, r1 = trace.rounds
+    short = replace(r0, matching=Matching(r0.matching.assign[:1]))
+    unknown = replace(r1, matching=Matching((7, UNMATCHED, UNMATCHED)))
+    assert issues(check_trace(no_stable_inst, SolveTrace(trace.partition, (short, unknown)))) == [
+        ("error", "round 1", "infeasible matching: assignment length does not match agent count"),
+        ("error", "round 2", "residual capacities differ from capacities minus earlier occupancy"),
+        ("error", "round 2", "infeasible matching: agent a1 assigned to unknown hospital index 7"),
     ]
 
 

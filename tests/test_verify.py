@@ -241,6 +241,22 @@ def test_residual_rejects_negative_caps(no_stable_inst):
         find_blocking_pairs_residual(no_stable_inst, empty, [-1, 2], [])
 
 
+def test_residual_rejects_malformed_matching(no_stable_inst):
+    # neither may escape as IndexError: check_trace reports what this raises
+    with pytest.raises(
+        ValueError, match="^infeasible matching: assignment length does not match agent count$"
+    ):
+        find_blocking_pairs_residual(no_stable_inst, Matching((UNMATCHED,)), [1, 2], [0, 1, 2])
+    for h in (5, -3):
+        with pytest.raises(
+            ValueError,
+            match=f"^infeasible matching: agent a1 assigned to unknown hospital index {h}$",
+        ):
+            find_blocking_pairs_residual(
+                no_stable_inst, Matching((h, UNMATCHED, UNMATCHED)), [1, 2], [0, 1, 2]
+            )
+
+
 def test_witness_json(no_stable_inst):
     m = Matching.from_labeled_pairs(no_stable_inst, [("a1", "h1"), ("a3", "h2")])
     (w,) = find_blocking_pairs(no_stable_inst, m)
