@@ -31,11 +31,7 @@ from .partition import (
     size_descending_partition,
 )
 from .solver import solve, solve_matching, solve_occupancy, trace_to_json
-from .verify import (
-    find_blocking_pairs,
-    find_occupancy_blocking_pairs,
-    is_feasible,
-)
+from .verify import find_blocking_pairs, find_occupancy_blocking_pairs
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
@@ -105,14 +101,14 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     inst = parse_instance(_read_text(args.file))
     matching = matching_from_json(inst, json.loads(_read_text(args.matching)))
-    ok, msg = is_feasible(inst, matching)
-    if not ok:
-        print(f"hrs verify: infeasible matching: {msg}", file=sys.stderr)
-        return EXIT_PROPERTY_FAILS
     finder = (
         find_occupancy_blocking_pairs if args.notion == "occupancy" else find_blocking_pairs
     )
-    witnesses = finder(inst, matching)
+    try:
+        witnesses = finder(inst, matching)
+    except ValueError as exc:  # "infeasible matching: <the first fault>"
+        print(f"hrs verify: {exc}", file=sys.stderr)
+        return EXIT_PROPERTY_FAILS
     _emit([w.to_json(inst) for w in witnesses])
     return EXIT_OK if not witnesses else EXIT_PROPERTY_FAILS
 

@@ -355,27 +355,38 @@ def matching_size(inst: HrsInstance, matching: Matching) -> int:
 def is_feasible(inst: HrsInstance, matching: Matching) -> tuple[bool, str | None]:
     """Whether the matching respects lists and capacities; returns the first
     violation message otherwise."""
+    msg = _feasibility_fault(inst, matching)
+    return msg is None, msg
+
+
+def _feasibility_fault(inst: HrsInstance, matching: Matching, caps: Sequence[int] | None = None,
+                       agents: Iterable[int] | None = None) -> str | None:
+    """The first break of the feasibility rule, listed pairs of the given
+    ``agents`` (all when None) within ``caps`` (the instance's when None), in
+    agent order and then hospital order; None when there is none."""
     if len(matching.assign) != inst.n_agents:
-        return False, "assignment length does not match agent count"
+        return "assignment length does not match agent count"
+    caps = inst.caps if caps is None else caps
+    allowed = None if agents is None else set(agents)
     n_hospitals = inst.n_hospitals
     occ = [0] * n_hospitals
     for a, h in enumerate(matching.assign):
         if h == UNMATCHED:
             continue
         if not 0 <= h < n_hospitals:
-            return False, f"agent {inst.agent_labels[a]} assigned to unknown hospital index {h}"
+            return f"agent {inst.agent_labels[a]} assigned to unknown hospital index {h}"
+        if allowed is not None and a not in allowed:
+            return f"agent {inst.agent_labels[a]} matched outside the given agents"
         if h not in inst.agent_prefs[a]:
-            return False, (
+            return (
                 f"agent {inst.agent_labels[a]} assigned to "
                 f"{inst.hospital_labels[h]} which is not on its list"
             )
         occ[h] += inst.sizes[a]
     for h, o in enumerate(occ):
-        if o > inst.caps[h]:
-            return False, (
-                f"hospital {inst.hospital_labels[h]} over capacity: {o} > {inst.caps[h]}"
-            )
-    return True, None
+        if o > caps[h]:
+            return f"hospital {inst.hospital_labels[h]} over capacity: {o} > {caps[h]}"
+    return None
 
 
 # --- text format -----------------------------------------------------------

@@ -177,6 +177,7 @@ def uniform_gs(
     if any(r < 0 for r in room):
         raise ValueError("negative residual capacity")
     assign = [UNMATCHED] * inst.n_agents
+    class_agents = tuple(class_agents)  # read twice: validated, then run
     seen: set[int] = set()
     for a in class_agents:
         if not 0 <= a < inst.n_agents:

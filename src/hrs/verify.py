@@ -7,7 +7,13 @@ variant additionally requires the eviction set to free at most s(a) positions,
 so the hospital never loses occupancy by the swap. A matching is stable
 (resp. occupancy-stable) when no pair of that kind blocks it.
 
-Every verifier runs one scan. A hospital's eviction table is built on its
+Every verifier first places the matching with ``_placed``, one pass that
+also checks the feasibility rule (listed pairs of the allowed agents within
+capacity); on a fault it raises ValueError with ``model._feasibility_fault``'s
+message, as ``is_feasible`` reports it. The residual finder runs that pass on
+one round's agents and capacities.
+
+Every verifier then runs one scan. A hospital's eviction table is built on its
 first candidate pair that needs an eviction: its residents sorted by its rank
 (read off each resident's own list as the matching is placed), and over each
 suffix of that order (worst-ranked upward) the evictable size total and the
@@ -36,12 +42,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .model import (
-    UNMATCHED,
-    HrsInstance,
-    Matching,
-    is_feasible,
-)
+from .model import UNMATCHED, HrsInstance, Matching, _feasibility_fault
 
 CLASSIC = "classic"
 OCCUPANCY = "occupancy"
@@ -121,7 +122,7 @@ def _frees(reach: int, need: int, room: int, occupancy: bool) -> bool:
 
 
 def _rank_bound(
-    order: list[int], evictable: list[int], rank: Sequence[int] | dict[int, int],
+    order: list[int], evictable: list[int], rank: Sequence[int],
     need: int, room: int, occupancy: bool,
 ) -> int:
     """An agent that needs ``need`` more than the hospital's free ``room``
@@ -146,7 +147,7 @@ def _scan_pairs(
     kind: str,
     free: list[int],
     residents: dict[int, list[int]],
-    held: Sequence[int] | dict[int, int],
+    held: Sequence[int],
     agents: Iterable[int],
     collect: bool,
     out: list[BlockingWitness] | None,
@@ -245,20 +246,29 @@ def _hospital_blocks(
     return False
 
 
-def _placed(inst: HrsInstance, matching: Matching) -> tuple[list, dict, list]:
+def _placed(inst: HrsInstance, matching: Matching, caps: Sequence[int] | None = None,
+            agents: Sequence[int] | None = None) -> tuple[list, dict, list]:
     """Each hospital's free capacity and residents (ascending), and each
-    resident's rank at its hospital, under a matching of the whole instance,
-    from one pass that also checks it is feasible. A fault raises ValueError
-    with ``model.is_feasible``'s message, which is only computed then."""
+    resident's rank at its hospital, from one pass over the given ``agents``
+    (distinct, ascending, in range; all when None) under ``caps`` (the
+    instance's when None) that also checks the feasibility rule; that no other
+    agent is matched is one count over the whole assignment. A fault raises
+    ValueError with ``model._feasibility_fault``'s message."""
     assign = matching.assign
-    free = list(inst.caps)
+    free = list(inst.caps if caps is None else caps)
     residents: dict[int, list[int]] = {}
     held = [0] * len(assign)
-    if len(assign) == inst.n_agents:
+    ok = len(assign) == inst.n_agents
+    placed: Iterable[tuple[int, int]] = enumerate(assign)
+    if ok and agents is not None:
+        hs = list(map(assign.__getitem__, agents))
+        ok = len(hs) - hs.count(UNMATCHED) == len(assign) - assign.count(UNMATCHED)
+        placed = zip(agents, hs)
+    if ok:
         sizes = inst.sizes
         agent_prefs = inst.agent_prefs
         edge_ranks = inst.agent_pref_hranks_neg
-        for a, h in enumerate(assign):
+        for a, h in placed:
             if h == UNMATCHED:
                 continue
             try:
@@ -270,10 +280,10 @@ def _placed(inst: HrsInstance, matching: Matching) -> tuple[list, dict, list]:
                 residents[h].append(a)
             else:
                 residents[h] = [a]
-        else:
-            if min(free, default=0) >= 0:
+        else:  # a round reads only its residents' hospitals: no other went down
+            if min(free if agents is None else map(free.__getitem__, residents), default=0) >= 0:
                 return free, residents, held
-    _, msg = is_feasible(inst, matching)
+    msg = _feasibility_fault(inst, matching, caps, agents)
     raise ValueError(f"infeasible matching: {msg}")
 
 
@@ -310,62 +320,21 @@ def find_blocking_pairs_residual(
 
     The subgraph is every edge of the given agents; out-of-range indices are
     ignored. The matching must match only those agents, along their lists,
-    within the residual capacities; a fault raises ValueError. Work is
+    within the residual capacities; ``_placed`` raises ValueError if not. Work is
     proportional to the agents' edges plus C-speed passes over the capacity
     and assignment vectors, so auditing every round of a solve costs about
     one full scan.
     """
-    assign = matching.assign
-    n_agents = inst.n_agents
-    if len(assign) != n_agents:
-        raise ValueError("infeasible matching: assignment length does not match agent count")
-    residual_caps = list(residual_caps)
     if len(residual_caps) != inst.n_hospitals:
         raise ValueError("residual capacity vector has wrong length")
     if residual_caps and min(residual_caps) < 0:
         raise ValueError("negative residual capacity")
-    sizes = inst.sizes
-    agent_set = set(agents)
-    ordered = sorted(agent_set)
-    if ordered and (ordered[0] < 0 or ordered[-1] >= n_agents):
-        ordered = [a for a in ordered if 0 <= a < n_agents]
-        agent_set = set(ordered)
-    matched = [a for a in ordered if assign[a] != UNMATCHED]
-    if len(matched) != n_agents - assign.count(UNMATCHED):
-        # some matched agent lies outside them: list every matched agent, so
-        # the report names the same first fault as a full scan would
-        matched = [a for a, h in enumerate(assign) if h != UNMATCHED]
-    residents: dict[int, list[int]] = {}
-    for a in matched:
-        h = assign[a]
-        if not 0 <= h < len(residual_caps):
-            raise ValueError(
-                f"infeasible matching: agent {inst.agent_labels[a]} "
-                f"assigned to unknown hospital index {h}"
-            )
-        if h in residents:
-            residents[h].append(a)
-        else:
-            residents[h] = [a]
-    free = residual_caps[:]
-    for h in sorted(residents):
-        occ = sum(sizes[a] for a in residents[h])
-        if occ > residual_caps[h]:
-            raise ValueError(
-                f"matching infeasible under residual capacities at {inst.hospital_labels[h]}"
-            )
-        free[h] = residual_caps[h] - occ
-    held: dict[int, int] = {}
-    for a in matched:
-        h = assign[a]
-        if a not in agent_set or h not in inst.agent_prefs[a]:
-            raise ValueError(
-                f"matched pair ({inst.agent_labels[a]}, {inst.hospital_labels[h]}) "
-                "outside the given subgraph"
-            )
-        held[a] = -inst.agent_pref_hranks_neg[a][inst.agent_prefs[a].index(h)]
+    ordered = sorted(set(agents))
+    if ordered and (ordered[0] < 0 or ordered[-1] >= inst.n_agents):
+        ordered = [a for a in ordered if 0 <= a < inst.n_agents]
+    free, residents, held = _placed(inst, matching, residual_caps, ordered)
     out: list[BlockingWitness] = []
-    _scan_pairs(inst, assign, CLASSIC, free, residents, held, ordered, True, out)
+    _scan_pairs(inst, matching.assign, CLASSIC, free, residents, held, ordered, True, out)
     return out
 
 

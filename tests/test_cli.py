@@ -140,8 +140,9 @@ def test_verify_exit_codes(capsys, example_files, tmp_path):
 def test_verify_infeasible(capsys, example_files, tmp_path):
     mfile = tmp_path / "bad.json"
     mfile.write_text(json.dumps({"matched": {"a1": "h2", "a2": "h2", "a3": "h2"}}))
-    code, _, err = run(capsys, "verify", example_files["no_stable"], "--matching", str(mfile))
-    assert code == 1 and "infeasible" in err
+    code, out, err = run(capsys, "verify", example_files["no_stable"], "--matching", str(mfile))
+    assert (code, out) == (1, "")
+    assert err == "hrs verify: infeasible matching: hospital h2 over capacity: 4 > 2\n"
 
 
 def test_verify_unknown_agent_is_input_error(capsys, example_files, tmp_path):

@@ -90,6 +90,13 @@ def test_uniform_gs_rejects_mixed_sizes(no_stable_inst):
         uniform_gs(inst, [-1], [1, 1])
     with pytest.raises(ValueError, match="^class agent index 5 out of range$"):
         uniform_gs(inst, [5], [1, 1])
+    # validating a generator once used it up, so no agent ran
+    agents = (a for a in [0, 1])
+    assert uniform_gs(no_stable_inst, agents, no_stable_inst.caps) == Matching.from_pairs(
+        no_stable_inst, [(0, 1), (1, 0)]
+    )
+    with pytest.raises(ValueError, match=r"^class mixes sizes \[1, 2\]$"):
+        uniform_gs(no_stable_inst, iter([0, 2]), [1, 2])
 
 
 def test_solve_rejects_invalid_partition(no_stable_inst):
@@ -166,7 +173,7 @@ def test_check_trace_catches_agent_outside_round(no_stable_inst):
                        Matching.from_labeled_pairs(no_stable_inst, [("a3", "h2"), ("a1", "h1")]))
     corrupted = SolveTrace(trace.partition, (moved, r1))
     assert issues(check_trace(no_stable_inst, corrupted)) == [
-        ("error", "round 1", "matched pair (a1, h1) outside the given subgraph"),
+        ("error", "round 1", "infeasible matching: agent a1 matched outside the given agents"),
     ]
 
 
@@ -202,7 +209,7 @@ def test_check_trace_catches_round_over_residual(no_stable_inst):
     # round two's residual capacity at h1 is 1, but both size-1 agents go there
     corrupted = tampered_round(trace, 1, [("a1", "h1"), ("a2", "h1")], no_stable_inst)
     assert issues(check_trace(no_stable_inst, corrupted)) == [
-        ("error", "round 2", "matching infeasible under residual capacities at h1"),
+        ("error", "round 2", "infeasible matching: hospital h1 over capacity: 2 > 1"),
     ]
 
 

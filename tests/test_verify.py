@@ -1,9 +1,10 @@
 import itertools
 import random
+import re
 
 import pytest
 
-from hrs.model import Matching, UNMATCHED, occupancies
+from hrs.model import Matching, UNMATCHED, _feasibility_fault, occupancies
 from hrs.verify import (
     find_blocking_pairs,
     find_blocking_pairs_residual,
@@ -255,6 +256,66 @@ def test_residual_rejects_malformed_matching(no_stable_inst):
             find_blocking_pairs_residual(
                 no_stable_inst, Matching((h, UNMATCHED, UNMATCHED)), [1, 2], [0, 1, 2]
             )
+
+
+def _with_fault(rng, inst, allowed, kind):
+    """A random assignment of the ``allowed`` agents along their lists, with
+    one fault of ``kind`` planted when the instance has room for it."""
+    assign = [rng.choice(inst.agent_prefs[a] + (UNMATCHED,)) if a in allowed else UNMATCHED
+              for a in range(inst.n_agents)]
+    a = rng.randrange(inst.n_agents)
+    if kind == "length":
+        assign = assign[:-1] if rng.random() < 0.5 else assign + [UNMATCHED]
+    elif kind == "unknown":
+        assign[a] = rng.choice([-2, inst.n_hospitals, inst.n_hospitals + 3])
+    elif kind == "unlisted":
+        unlisted = [h for h in range(inst.n_hospitals) if h not in inst.agent_prefs[a]]
+        if unlisted:
+            assign[a] = rng.choice(unlisted)
+    elif kind == "outside":
+        outside = [b for b in range(inst.n_agents) if b not in allowed and inst.agent_prefs[b]]
+        if outside:
+            b = rng.choice(outside)
+            assign[b] = rng.choice(inst.agent_prefs[b])
+    elif kind == "over" and inst.agent_prefs[a]:
+        h = inst.agent_prefs[a][0]  # everyone allowed who lists h goes there
+        assign = [h if b in allowed and h in inst.agent_prefs[b] else assign[b]
+                  for b in range(inst.n_agents)]
+    return Matching(tuple(assign))
+
+
+_FAULTS = {  # each fault kind's message, as the model words it
+    "length": r"^assignment length does not match agent count$",
+    "unknown": r"^agent \S+ assigned to unknown hospital index -?\d+$",
+    "unlisted": r"^agent \S+ assigned to \S+ which is not on its list$",
+    "outside": r"^agent \S+ matched outside the given agents$",
+    "over": r"^hospital \S+ over capacity: \d+ > \d+$",
+}
+
+
+def test_fault_messages_come_from_the_model():
+    # the residual finder, and the full one at the full capacities, raise
+    # exactly on the model's faults, with its message
+    rng = random.Random(43)
+    reported = set()
+    for inst in small_random_instances(150, seed=41, max_agents=6):
+        for kind in (*_FAULTS, None):
+            caps = [rng.randint(0, c) for c in inst.caps]
+            allowed = {a for a in range(inst.n_agents) if rng.random() < 0.7}
+            matching = _with_fault(rng, inst, allowed, kind)
+            for finder, args in (
+                (find_blocking_pairs_residual, (inst, matching, caps, allowed)),
+                (find_blocking_pairs, (inst, matching)),
+            ):
+                fault = _feasibility_fault(*args)
+                if fault is None:
+                    finder(*args)
+                    continue
+                reported.update(k for k, pattern in _FAULTS.items() if re.search(pattern, fault))
+                with pytest.raises(ValueError) as exc:
+                    finder(*args)
+                assert str(exc.value) == "infeasible matching: " + fault
+    assert reported == set(_FAULTS)
 
 
 def test_witness_json(no_stable_inst):
