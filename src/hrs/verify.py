@@ -280,8 +280,8 @@ def _placed(inst: HrsInstance, matching: Matching, caps: Sequence[int] | None = 
                 residents[h].append(a)
             else:
                 residents[h] = [a]
-        else:  # a round reads only its residents' hospitals: no other went down
-            if min(free if agents is None else map(free.__getitem__, residents), default=0) >= 0:
+        else:  # only a resident's hospital went down from a capacity >= 0
+            if min(map(free.__getitem__, residents), default=0) >= 0:
                 return free, residents, held
     msg = _feasibility_fault(inst, matching, caps, agents)
     raise ValueError(f"infeasible matching: {msg}")
@@ -312,7 +312,7 @@ def find_occupancy_blocking_pairs(inst: HrsInstance, matching: Matching) -> list
 def find_blocking_pairs_residual(
     inst: HrsInstance,
     matching: Matching,
-    residual_caps: Sequence[int],
+    residual_caps: Iterable[int],
     agents: Iterable[int],
 ) -> list[BlockingWitness]:
     """Classic blocking pairs among the given agents under substitute
@@ -325,6 +325,7 @@ def find_blocking_pairs_residual(
     and assignment vectors, so auditing every round of a solve costs about
     one full scan.
     """
+    residual_caps = tuple(residual_caps)
     if len(residual_caps) != inst.n_hospitals:
         raise ValueError("residual capacity vector has wrong length")
     if residual_caps and min(residual_caps) < 0:

@@ -219,6 +219,8 @@ def test_residual_round_two(no_stable_inst):
     # after the size-2 round matched a3 to h2, round two sees h1:1, h2:0
     m2 = Matching.from_labeled_pairs(inst, [("a1", "h1")])
     assert find_blocking_pairs_residual(inst, m2, [1, 0], [0, 1]) == []  # a1 and a2
+    # any iterable of capacities, read once
+    assert find_blocking_pairs_residual(inst, m2, (c for c in [1, 0]), [0, 1]) == []
 
 
 def test_residual_degenerate_equals_full(no_stable_inst):
