@@ -294,11 +294,9 @@ class RatioReport:
         return "\n".join(lines) + "\n"
 
 
-def _ratio_trial(args: tuple) -> RatioRow:
-    template_dict, trial, max_nodes = args
-    template = GenParams(**template_dict)
+def _ratio_trial(template: GenParams, trial: int, budget: SearchBudget) -> RatioRow:
     inst = _trial_instance(template, trial, gen_random)
-    return _measure_ratio(inst, template.seed ^ trial, SearchBudget(max_nodes=max_nodes))
+    return _measure_ratio(inst, template.seed ^ trial, budget)
 
 
 def _measure_ratio(inst: HrsInstance, seed: int, budget: SearchBudget) -> RatioRow:
@@ -326,12 +324,12 @@ def run_ratio_experiment(
         raise ValueError(f"negative trial count {trials}")
     budget = budget or SearchBudget()
     rows = [_measure_ratio(approx_gap_example(), -1, budget)]
-    work = [(params.__dict__, t, budget.max_nodes) for t in range(trials)]
+    work = [(params, t, budget) for t in range(trials)]
     if jobs > 1:
         with get_context("fork").Pool(jobs) as pool:
-            rows.extend(pool.map(_ratio_trial, work))
+            rows.extend(pool.starmap(_ratio_trial, work))
     else:
-        rows.extend(_ratio_trial(w) for w in work)
+        rows.extend(_ratio_trial(*w) for w in work)
     complete = [r for r in rows if r.verdict == COMPLETE]
     violations = [
         r for r in complete

@@ -73,15 +73,16 @@ class ValidationReport:
         return "; ".join(str(i) for i in self.issues) or "ok"
 
 
-def _all_labels(labels: tuple) -> bool:
-    """Each a non-empty string without whitespace or '#', other than ':', so
-    the text format carries it; joined and split, such labels come back."""
+def _all_labels(labels: tuple, reserved: tuple[str, ...] = (":",)) -> bool:
+    """Each a non-empty string without whitespace or '#', and none of the
+    text format's ``reserved`` tokens (the ``.hrs`` format's by default), so
+    the format carries it; joined and split, such labels come back."""
     try:
         joined = " ".join(labels)
     except TypeError:
         return False
     tokens = joined.split()
-    return tokens == list(labels) and "#" not in joined and ":" not in tokens
+    return tokens == list(labels) and "#" not in joined and not any(r in tokens for r in reserved)
 
 
 def _all_positive_ints(values: tuple) -> bool:

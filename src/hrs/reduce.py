@@ -35,7 +35,8 @@ off the label book, where its chain helper records them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import (
     UNMATCHED,
@@ -45,6 +46,7 @@ from .model import (
     InstanceError,
     Matching,
     ValidationReport,
+    _all_labels,
 )
 from . import verify
 
@@ -55,16 +57,16 @@ class ReductionError(HrsError):
 
 # --- SMTI model --------------------------------------------------------------
 
+_BRACKETS = ("(", ")")  # the .smti tokens that open and close a tie, so no label
+
 
 class SmtiInstance:
-    """Marriage instance with ties: men rank women in tied groups (singleton
-    groups are strict entries), women rank men strictly. Acceptability is
-    mutual."""
+    """Immutable, valid marriage instance with ties: men rank women in tied
+    groups (singleton groups are strict entries), women rank men strictly.
+    Acceptability is mutual. Each preference is stored once, in the lists;
+    ``women_index`` maps each woman's label to her index."""
 
-    __slots__ = (
-        "men_labels", "women_labels", "men_prefs", "women_prefs",
-        "men_rank", "women_rank", "men_index", "women_index",
-    )
+    __slots__ = ("men_labels", "women_labels", "men_prefs", "women_prefs", "women_index")
 
     def __init__(
         self,
@@ -73,52 +75,52 @@ class SmtiInstance:
         women_labels: Sequence[str],
         women_prefs: Sequence[Sequence[int]],
     ):
+        """The one constructor, on dense indices; raises InstanceError naming
+        the first fault of ``_first_fault``."""
         self.men_labels = tuple(men_labels)
         self.women_labels = tuple(women_labels)
-        self.men_prefs = tuple(tuple(tuple(g) for g in p) for p in men_prefs)
-        self.women_prefs = tuple(tuple(p) for p in women_prefs)
-        self.men_index = {m: i for i, m in enumerate(self.men_labels)}
+        self.men_prefs = tuple(tuple(map(tuple, p)) for p in men_prefs)
+        self.women_prefs = tuple(map(tuple, women_prefs))
+        fault = self._first_fault()
+        if fault is not None:
+            raise InstanceError(fault)
         self.women_index = {w: i for i, w in enumerate(self.women_labels)}
-        if len(self.men_index) != len(self.men_labels):
-            raise InstanceError("duplicate man label")
-        if len(self.women_index) != len(self.women_labels):
-            raise InstanceError("duplicate woman label")
-        men_rank = []
-        for m, groups in enumerate(self.men_prefs):
-            rank: dict[int, int] = {}
-            for g, group in enumerate(groups):
-                for w in group:
-                    if not 0 <= w < len(self.women_labels):
-                        raise InstanceError(f"woman index {w} out of range")
-                    if w in rank:
-                        raise InstanceError(
-                            f"man {self.men_labels[m]} lists {self.women_labels[w]} twice"
-                        )
-                    rank[w] = g
-            men_rank.append(rank)
-        self.men_rank = tuple(men_rank)
-        women_rank = []
-        for w, prefs in enumerate(self.women_prefs):
-            rank = {}
-            for r, m in enumerate(prefs):
-                if not 0 <= m < len(self.men_labels):
-                    raise InstanceError(f"man index {m} out of range")
-                if m in rank:
-                    raise InstanceError(
-                        f"woman {self.women_labels[w]} lists {self.men_labels[m]} twice"
-                    )
-                rank[m] = r
-            women_rank.append(rank)
-        self.women_rank = tuple(women_rank)
-        sides = [("man", "him", self.men_labels, self.men_rank),
-                 ("woman", "her", self.women_labels, self.women_rank)]
-        for (kind, pronoun, labels, own), (_, _, others, back) in zip(sides, sides[::-1]):
-            for i, rank in enumerate(own):
-                for j in rank:
-                    if i not in back[j]:
-                        raise InstanceError(
-                            f"{kind} {labels[i]} lists {others[j]} which does not list {pronoun} back"
-                        )
+
+    def _first_fault(self) -> str | None:
+        """The first fault, checked in this order: field lengths, duplicate
+        labels, labels the ``.smti`` format cannot carry (empty, holding
+        whitespace or '#', or a tie bracket), empty groups, entries that are
+        not an int index in range, a list that names someone twice, and
+        one-sided pairs; each check runs over the men, then the women."""
+        men_lists = [[w for g in p for w in g] for p in self.men_prefs]
+        sides = [("man", "him", self.men_labels, men_lists),
+                 ("woman", "her", self.women_labels, self.women_prefs)]
+        pairs = list(zip(sides, sides[::-1]))
+        faults = chain(
+            (f"{kind} field lengths disagree"
+             for kind, _, labels, lists in sides if len(labels) != len(lists)),
+            (f"duplicate {kind} label {label!r}"
+             for (kind, _, labels, _), first in zip(sides, ({}, {})) for i, label in enumerate(labels)
+             if isinstance(label, str) and first.setdefault(label, i) != i),
+            (f"bad {kind} label {label!r}"
+             for kind, _, labels, _ in sides if not _all_labels(labels, _BRACKETS)
+             for label in labels if not _all_labels((label,), _BRACKETS)),
+            (f"man {label} has an empty group"
+             for label, groups in zip(self.men_labels, self.men_prefs) if not all(groups)),
+            (f"{kind} {label} lists {x!r}, not a {other} index in range"
+             for (kind, _, labels, lists), (other, _, others, _) in pairs
+             for label, p in zip(labels, lists) for x in p
+             if type(x) is not int or not 0 <= x < len(others)),
+            (f"{kind} {label} lists {others[x]} twice"
+             for (kind, _, labels, lists), (_, _, others, _) in pairs
+             for label, p in zip(labels, lists) if len(set(p)) != len(p)
+             for i, x in enumerate(p) if x in p[:i]),
+            (f"{kind} {labels[i]} lists {others[j]} which does not list {pronoun} back"
+             for (kind, pronoun, labels, lists), (_, _, others, back) in pairs
+             for listed in [list(map(set, back))]  # built once every entry is an index
+             for i, p in enumerate(lists) for j in p if i not in listed[j]),
+        )
+        return next(faults, None)
 
     @property
     def n_men(self) -> int:
@@ -138,15 +140,11 @@ class SmtiInstance:
         women: Iterable[tuple[str, Sequence[str]]],
     ) -> "SmtiInstance":
         """Construct from labels; men's preferences are given as groups of
-        woman labels (singleton group = strict entry)."""
-        men = list(men)
-        women = list(women)
+        woman labels (singleton group = strict entry). An unknown label raises
+        InstanceError, and so does every fault the constructor reports."""
+        men, women = list(men), list(women)
         w_index = {lbl: i for i, (lbl, _) in enumerate(women)}
         m_index = {lbl: i for i, (lbl, _) in enumerate(men)}
-        if len(w_index) != len(women):
-            raise InstanceError("duplicate woman label")
-        if len(m_index) != len(men):
-            raise InstanceError("duplicate man label")
 
         def index(lbl, known, kind, who):
             if lbl not in known:
@@ -211,39 +209,42 @@ class SmtiMatching:
 
 
 def is_complete(smti: SmtiInstance, matching: SmtiMatching) -> bool:
-    if UNMATCHED in matching.assign:
-        return False
-    return len(matching.pairs()) == smti.n_women
+    return UNMATCHED not in matching.assign and len(matching.assign) == smti.n_women
+
+
+def _blocking_pairs(smti: SmtiInstance, matching: SmtiMatching) -> Iterator[tuple[int, int]]:
+    """Blocking pairs, man by man, once the whole matching is checked."""
+    woman_of = matching.assign
+    if len(woman_of) != smti.n_men:
+        raise ValueError("matching length does not match the number of men")
+    women_prefs = smti.women_prefs
+    n_women = len(women_prefs)
+    man_of = [UNMATCHED] * n_women
+    for m, w in enumerate(woman_of):
+        if w != UNMATCHED:
+            # acceptability is mutual: her list names him exactly when his names her
+            if not (type(w) is int and 0 <= w < n_women and m in women_prefs[w]):
+                raise ValueError("matching uses an unacceptable pair")
+            man_of[w] = m
+    for m, (cur, groups) in enumerate(zip(woman_of, smti.men_prefs)):
+        for group in groups:
+            if cur in group:
+                break  # he prefers exactly the women of the groups before hers
+            for w in group:
+                p = women_prefs[w]
+                if man_of[w] == UNMATCHED or p.index(m) < p.index(man_of[w]):
+                    yield (m, w)
 
 
 def smti_blocking_pairs(smti: SmtiInstance, matching: SmtiMatching) -> list[tuple[int, int]]:
     """Pairs where both sides strictly prefer each other to their partners
-    (being unmatched ranks below anyone acceptable)."""
-    woman_of = matching.assign
-    man_of = [UNMATCHED] * smti.n_women
-    for m, w in enumerate(woman_of):
-        if w != UNMATCHED:
-            if w not in smti.men_rank[m]:
-                raise ValueError("matching uses an unacceptable pair")
-            man_of[w] = m
-    out = []
-    big = 1 << 30
-    for m in range(smti.n_men):
-        cur = woman_of[m]
-        cur_rank = smti.men_rank[m][cur] if cur != UNMATCHED else big
-        for w, rank in smti.men_rank[m].items():
-            if w == cur or rank >= cur_rank:
-                continue
-            partner = man_of[w]
-            partner_rank = smti.women_rank[w][partner] if partner != UNMATCHED else big
-            if smti.women_rank[w][m] < partner_rank:
-                out.append((m, w))
-    out.sort()
-    return out
+    (being unmatched ranks below anyone acceptable), sorted. ValueError on a
+    matching of the wrong length or with an unacceptable pair."""
+    return sorted(_blocking_pairs(smti, matching))
 
 
 def is_weakly_stable(smti: SmtiInstance, matching: SmtiMatching) -> bool:
-    return not smti_blocking_pairs(smti, matching)
+    return next(_blocking_pairs(smti, matching), None) is None
 
 
 def validate_csmti(smti: SmtiInstance) -> ValidationReport:
@@ -296,26 +297,23 @@ def parse_smti(text: str) -> SmtiInstance:
             women.append((label, rest))
             continue
         groups: list[list[str]] = []
-        i = 0
-        while i < len(rest):
-            tok = rest[i]
-            if tok == "(":
-                j = i + 1
-                group = []
-                while j < len(rest) and rest[j] != ")":
-                    group.append(rest[j])
-                    j += 1
-                if j == len(rest):
-                    raise FormatError("unclosed '(' in tie", lineno)
-                if len(group) < 2:
-                    raise FormatError("tie must contain at least two entries", lineno)
-                groups.append(group)
-                i = j + 1
-            elif tok == ")":
+        tie: list[str] | None = None  # the open tie's entries
+        for tok in rest:
+            if tie is None and tok == "(":
+                tie = []
+            elif tie is None and tok == ")":
                 raise FormatError("')' without '('", lineno)
-            else:
+            elif tie is None:
                 groups.append([tok])
-                i += 1
+            elif tok != ")":
+                tie.append(tok)
+            elif len(tie) < 2:
+                raise FormatError("tie must contain at least two entries", lineno)
+            else:
+                groups.append(tie)
+                tie = None
+        if tie is not None:
+            raise FormatError("unclosed '(' in tie", lineno)
         men.append((label, groups))
     try:
         return SmtiInstance.build(men, women)
@@ -325,15 +323,10 @@ def parse_smti(text: str) -> SmtiInstance:
 
 def serialize_smti(smti: SmtiInstance) -> str:
     lines = []
-    for m in range(smti.n_men):
-        parts = []
-        for group in smti.men_prefs[m]:
-            labels = [smti.women_labels[w] for w in group]
-            if len(labels) == 1:
-                parts.append(labels[0])
-            else:
-                parts.append("( " + " ".join(labels) + " )")
-        lines.append(f"m {smti.men_labels[m]} : {' '.join(parts)}".rstrip())
+    for label, groups in zip(smti.men_labels, smti.men_prefs):
+        names = [" ".join(smti.women_labels[w] for w in group) for group in groups]
+        parts = [n if len(g) == 1 else f"( {n} )" for n, g in zip(names, groups)]
+        lines.append(f"m {label} : {' '.join(parts)}".rstrip())
     for w in range(smti.n_women):
         labels = " ".join(smti.men_labels[m] for m in smti.women_prefs[w])
         lines.append(f"w {smti.women_labels[w]} : {labels}".rstrip())

@@ -45,7 +45,7 @@ from .model import (
     matching_to_json,
 )
 from .partition import OrderedPartition, _size_classes, validate_ordered_partition
-from .verify import find_blocking_pairs_residual
+from .verify import _residual_caps, find_blocking_pairs_residual
 
 
 @dataclass(frozen=True)
@@ -171,11 +171,7 @@ def uniform_gs(
     size s; hospitals with no whole slot are skipped rather than removed.
     ``class_agents`` must be distinct agents, in range, of one size.
     """
-    room = list(residual_caps)
-    if len(room) != inst.n_hospitals:
-        raise ValueError("residual capacity vector has wrong length")
-    if any(r < 0 for r in room):
-        raise ValueError("negative residual capacity")
+    room = list(_residual_caps(inst, residual_caps))
     assign = [UNMATCHED] * inst.n_agents
     class_agents = tuple(class_agents)  # read twice: validated, then run
     seen: set[int] = set()

@@ -7,18 +7,18 @@ variant additionally requires the eviction set to free at most s(a) positions,
 so the hospital never loses occupancy by the swap. A matching is stable
 (resp. occupancy-stable) when no pair of that kind blocks it.
 
-Every verifier first places the matching with ``_placed``, one pass that
-also checks the feasibility rule (listed pairs of the allowed agents within
-capacity); on a fault it raises ValueError with ``model._feasibility_fault``'s
-message, as ``is_feasible`` reports it. The residual finder runs that pass on
-one round's agents and capacities.
+Every verifier runs one scan, ``_scan_pairs``. It first places the matching
+with ``_placed``, one pass that also checks the feasibility rule (listed pairs
+of the allowed agents within capacity); on a fault it raises ValueError with
+``model._feasibility_fault``'s message, as ``is_feasible`` reports it. The
+residual finder scans one round's agents under its capacities.
 
-Every verifier then runs one scan. A hospital's eviction table is built on its
-first candidate pair that needs an eviction: its residents sorted by its rank
-(read off each resident's own list as the matching is placed), and over each
-suffix of that order (worst-ranked upward) the evictable size total and the
-reachable subset sums as an integer bitset masked to the largest agent size.
-Building costs O(|M(h)| log |M(h)|).
+In the scan, a hospital's eviction table is built on its first candidate
+pair that needs an eviction: its residents sorted by its rank (read off each
+resident's own list as the matching is placed), and over each suffix of that
+order (worst-ranked upward) the evictable size total and the reachable subset
+sums as an integer bitset masked to the largest agent size. Building costs
+O(|M(h)| log |M(h)|).
 
 The pair test is written once, in ``_frees``: for an agent that needs more
 room than h has free, can evicting residents h ranks below it free enough?
@@ -143,26 +143,25 @@ def _rank_bound(
 
 def _scan_pairs(
     inst: HrsInstance,
-    assign: Sequence[int],
+    matching: Matching,
     kind: str,
-    free: list[int],
-    residents: dict[int, list[int]],
-    held: Sequence[int],
-    agents: Iterable[int],
-    collect: bool,
-    out: list[BlockingWitness] | None,
+    out: list[BlockingWitness] | None = None,
+    caps: Sequence[int] | None = None,
+    agents: Sequence[int] | None = None,
 ) -> bool:
-    """Walk candidate pairs of ``agents`` (ascending) in canonical order (agent
-    index, then that agent's preference order). ``free`` holds each
-    hospital's free capacity, ``residents`` its residents, ascending, among
-    those agents, and ``held`` each resident's rank at its hospital. Returns
-    True if any pair blocks; fills ``out`` with all witnesses when collecting.
+    """Place the matching with ``_placed`` (same ``caps`` and ``agents``),
+    then walk candidate pairs of ``agents`` (ascending; all when None) in
+    canonical order (agent index, then that agent's preference order).
+    Returns True if any pair blocks; fills ``out``, when given, with all
+    witnesses.
 
     A pair blocks exactly when its negated hospital-side rank is above its
     hospital's entry in the limit list of the agent's size. Entries start at
     ``unset``, below every negated rank, so a first test falls through to
     ``_rank_bound``; a hospital with room for the agent keeps ``unset``.
     """
+    free, residents, held = _placed(inst, matching, caps, agents)
+    assign = matching.assign
     sizes = inst.sizes
     occupancy = kind == OCCUPANCY
     # per hospital: residents in rank order and their suffixes' evictable sums
@@ -174,7 +173,7 @@ def _scan_pairs(
     agent_prefs = inst.agent_prefs
     edge_ranks = inst.agent_pref_hranks_neg
     found = False
-    for a in agents:
+    for a in range(len(sizes)) if agents is None else agents:
         cur = assign[a]
         prefs = agent_prefs[a]
         if not prefs or prefs[0] == cur:
@@ -201,7 +200,7 @@ def _scan_pairs(
                 if neg_rank <= bound:
                     continue
             found = True
-            if not collect:
+            if out is None:
                 return True
             if need <= 0:
                 witness: tuple[int, ...] = ()
@@ -287,25 +286,28 @@ def _placed(inst: HrsInstance, matching: Matching, caps: Sequence[int] | None = 
     raise ValueError(f"infeasible matching: {msg}")
 
 
-def _scan_all(inst: HrsInstance, matching: Matching, kind: str, collect: bool,
-              out: list[BlockingWitness] | None) -> bool:
-    free, residents, held = _placed(inst, matching)
-    return _scan_pairs(
-        inst, matching.assign, kind, free, residents, held, range(inst.n_agents), collect, out
-    )
+def _residual_caps(inst: HrsInstance, residual_caps: Iterable[int]) -> tuple[int, ...]:
+    """The capacities, read once, after checking that they give each
+    hospital a non-negative residual capacity; ValueError otherwise."""
+    caps = tuple(residual_caps)
+    if len(caps) != inst.n_hospitals:
+        raise ValueError("residual capacity vector has wrong length")
+    if caps and min(caps) < 0:
+        raise ValueError("negative residual capacity")
+    return caps
 
 
 def find_blocking_pairs(inst: HrsInstance, matching: Matching) -> list[BlockingWitness]:
     """All classic blocking pairs, each with one valid eviction set."""
     out: list[BlockingWitness] = []
-    _scan_all(inst, matching, CLASSIC, True, out)
+    _scan_pairs(inst, matching, CLASSIC, out)
     return out
 
 
 def find_occupancy_blocking_pairs(inst: HrsInstance, matching: Matching) -> list[BlockingWitness]:
     """All occupancy-blocking pairs (eviction total bounded by the incoming size)."""
     out: list[BlockingWitness] = []
-    _scan_all(inst, matching, OCCUPANCY, True, out)
+    _scan_pairs(inst, matching, OCCUPANCY, out)
     return out
 
 
@@ -325,26 +327,21 @@ def find_blocking_pairs_residual(
     and assignment vectors, so auditing every round of a solve costs about
     one full scan.
     """
-    residual_caps = tuple(residual_caps)
-    if len(residual_caps) != inst.n_hospitals:
-        raise ValueError("residual capacity vector has wrong length")
-    if residual_caps and min(residual_caps) < 0:
-        raise ValueError("negative residual capacity")
+    residual_caps = _residual_caps(inst, residual_caps)
     ordered = sorted(set(agents))
     if ordered and (ordered[0] < 0 or ordered[-1] >= inst.n_agents):
         ordered = [a for a in ordered if 0 <= a < inst.n_agents]
-    free, residents, held = _placed(inst, matching, residual_caps, ordered)
     out: list[BlockingWitness] = []
-    _scan_pairs(inst, matching.assign, CLASSIC, free, residents, held, ordered, True, out)
+    _scan_pairs(inst, matching, CLASSIC, out, residual_caps, ordered)
     return out
 
 
 def is_stable(inst: HrsInstance, matching: Matching) -> bool:
-    return not _scan_all(inst, matching, CLASSIC, False, None)
+    return not _scan_pairs(inst, matching, CLASSIC)
 
 
 def is_occupancy_stable(inst: HrsInstance, matching: Matching) -> bool:
-    return not _scan_all(inst, matching, OCCUPANCY, False, None)
+    return not _scan_pairs(inst, matching, OCCUPANCY)
 
 
 def is_a_perfect(inst: HrsInstance, matching: Matching) -> bool:

@@ -6,6 +6,9 @@ from hrs.partition import detect_generalized_master_list, validate_ordered_parti
 from hrs.reduce import serialize_smti, validate_csmti
 from hrs.harness import (
     GenParams,
+    _measure_ratio,
+    _trial_instance,
+    approx_gap_example,
     gen_csmti,
     gen_master_list,
     gen_random,
@@ -98,6 +101,21 @@ def test_ratio_experiment_parallel_matches_serial():
     serial = run_ratio_experiment(params, trials=8, jobs=1)
     parallel = run_ratio_experiment(params, trials=8, jobs=2)
     assert serial.to_csv() == parallel.to_csv()
+
+
+def test_ratio_experiment_keeps_the_budget_deadline():
+    # a deadline of 0 s stops a search at its first clock check, node 2,048,
+    # so a trial's verdict does not depend on the machine's speed
+    params = GenParams(n_agents=22, n_hospitals=6, density=0.6, seed=11)
+    budget = SearchBudget(deadline=0.0)
+    direct = [_measure_ratio(approx_gap_example(), -1, budget)] + [
+        _measure_ratio(_trial_instance(params, t, gen_random), params.seed ^ t, budget)
+        for t in range(4)
+    ]
+    assert {row.verdict for row in direct} == {"complete", "budget_exhausted"}
+    for jobs in (1, 2):
+        report = run_ratio_experiment(params, trials=4, budget=budget, jobs=jobs)
+        assert report.rows == direct
 
 
 @pytest.mark.parametrize("suite", ["occ-stable-always", "gen-ml-stable", "stable-implies-occ"])

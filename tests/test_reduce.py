@@ -1,6 +1,12 @@
-import pytest
+import itertools
+import random
 
-from hrs.model import FormatError, HrsInstance, InstanceError, Matching, induced_subinstance
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hrs.model import (
+    UNMATCHED, FormatError, HrsInstance, InstanceError, Matching, induced_subinstance,
+)
 from hrs.oracle import (
     SearchBudget,
     exists_a_perfect_occupancy_stable,
@@ -130,6 +136,163 @@ def test_blocking_pairs_with_ties():
     # a tied man never strictly prefers the other tied woman
     m2 = SmtiMatching.from_pairs(smti, [(0, 1), (1, 0), (2, 2)])
     assert all(pair[0] != 0 for pair in smti_blocking_pairs(smti, m2))
+
+
+# two men, two women: m1 ties w1 and w2, m2 is strict; every pair acceptable
+_MEN, _WOMEN = ["m1", "m2"], ["w1", "w2"]
+_MEN_PREFS, _WOMEN_PREFS = [[[0, 1]], [[0], [1]]], [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("men, men_prefs, women, women_prefs, message", [
+    (["m1", "m2", "m3"], _MEN_PREFS, _WOMEN, _WOMEN_PREFS, "man field lengths disagree"),
+    (_MEN, _MEN_PREFS, ["w1"], _WOMEN_PREFS, "woman field lengths disagree"),
+    (["m1", "m1"], _MEN_PREFS, _WOMEN, _WOMEN_PREFS, "duplicate man label 'm1'"),
+    # a duplicate is reported before a bad label
+    (_MEN, _MEN_PREFS, ["(", "("], _WOMEN_PREFS, "duplicate woman label '('"),
+    (["(", "m2"], _MEN_PREFS, _WOMEN, _WOMEN_PREFS, "bad man label '('"),
+    (_MEN, _MEN_PREFS, ["w1", ")"], _WOMEN_PREFS, "bad woman label ')'"),
+    (["m#1", "m2"], _MEN_PREFS, _WOMEN, _WOMEN_PREFS, "bad man label 'm#1'"),
+    (["a b", "m2"], _MEN_PREFS, _WOMEN, _WOMEN_PREFS, "bad man label 'a b'"),
+    (["", "m2"], _MEN_PREFS, _WOMEN, _WOMEN_PREFS, "bad man label ''"),
+    ([1, "m2"], _MEN_PREFS, _WOMEN, _WOMEN_PREFS, "bad man label 1"),
+    (_MEN, [[[0, 1]], [[0], []]], _WOMEN, _WOMEN_PREFS, "man m2 has an empty group"),
+    (_MEN, [[[0, 1]], [[]]], _WOMEN, _WOMEN_PREFS, "man m2 has an empty group"),
+    (_MEN, [[[0, 1.0]], [[0], [1]]], _WOMEN, _WOMEN_PREFS,
+     "man m1 lists 1.0, not a woman index in range"),
+    (_MEN, [[[0, "1"]], [[0], [1]]], _WOMEN, _WOMEN_PREFS,
+     "man m1 lists '1', not a woman index in range"),
+    (_MEN, [[[0, 2]], [[0], [1]]], _WOMEN, _WOMEN_PREFS,
+     "man m1 lists 2, not a woman index in range"),
+    (_MEN, _MEN_PREFS, _WOMEN, [[0, -1], [1, 0]], "woman w1 lists -1, not a man index in range"),
+    (_MEN, _MEN_PREFS, _WOMEN, [[0, True], [1, 0]], "woman w1 lists True, not a man index in range"),
+    (_MEN, [[[0, 1]], [[0], [0]]], _WOMEN, _WOMEN_PREFS, "man m2 lists w1 twice"),
+    (_MEN, _MEN_PREFS, _WOMEN, [[0, 1, 0], [1, 0]], "woman w1 lists m1 twice"),
+    (_MEN, [[[0, 1]], [[0]]], _WOMEN, _WOMEN_PREFS, "woman w2 lists m2 which does not list her back"),
+    (_MEN, _MEN_PREFS, _WOMEN, [[0], [1, 0]], "man m2 lists w1 which does not list him back"),
+])
+def test_smti_constructor_rejects_malformed_input(men, men_prefs, women, women_prefs, message):
+    SmtiInstance(_MEN, _MEN_PREFS, _WOMEN, _WOMEN_PREFS)  # the unmutated input is valid
+    with pytest.raises(InstanceError) as err:
+        SmtiInstance(men, men_prefs, women, women_prefs)
+    assert str(err.value) == message
+
+
+def test_smti_build_and_parse_report_constructor_faults():
+    with pytest.raises(InstanceError, match="^duplicate man label 'm1'$"):
+        SmtiInstance.build([("m1", [["w1"]]), ("m1", [["w1"]])], [("w1", ["m1"])])
+    with pytest.raises(InstanceError, match="^man m1 lists unknown woman 'w9'$"):
+        SmtiInstance.build([("m1", [["w9"]])], [("w1", [])])
+    # a man '(' with an empty list: written out, it would read back as a tie
+    for text in ("m ( :\n", "m m1 : w1\nw w1 : m1\nm m1 : w1\n"):
+        with pytest.raises(FormatError):
+            parse_smti(text)
+
+
+def test_smti_text_round_trip_generated():
+    for seed in range(30):
+        smti = gen_csmti(GenParams(n_agents=3 + seed % 5, n_hospitals=0, seed=seed))
+        assert parse_smti(serialize_smti(smti)) == smti
+
+
+_smti_labels = st.one_of(
+    st.just(":"),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4),
+).filter(lambda s: s.split() == [s] and "#" not in s and s not in ("(", ")"))
+
+
+@given(st.lists(_smti_labels, min_size=1, max_size=4, unique=True),
+       st.lists(_smti_labels, min_size=1, max_size=4, unique=True),
+       st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_smti_text_round_trips_any_legal_label(men, women, rng):
+    smti = _random_smti(rng, len(men), len(women), men, women)
+    assert parse_smti(serialize_smti(smti)) == smti
+
+
+def _random_smti(rng, n_men, n_women, men=None, women=None) -> SmtiInstance:
+    """Random acceptable pairs; each man's list cut into random tie groups,
+    each woman's list shuffled."""
+    men = men or [f"m{i + 1}" for i in range(n_men)]
+    women = women or [f"w{j + 1}" for j in range(n_women)]
+    lists = [[w for w in range(n_women) if rng.random() < 0.7] for _ in range(n_men)]
+    men_prefs = []
+    for ws in lists:
+        rng.shuffle(ws)
+        groups: list[list[int]] = []
+        for w in ws:
+            if groups and rng.random() < 0.4:
+                groups[-1].append(w)
+            else:
+                groups.append([w])
+        men_prefs.append(groups)
+    suitors = [[m for m, ws in enumerate(lists) if w in ws] for w in range(n_women)]
+    for s in suitors:
+        rng.shuffle(s)
+    return SmtiInstance(men, men_prefs, women, suitors)
+
+
+def _reference_blocking_pairs(smti, matching):
+    """The rank-dict scan the marriage model once kept: per person a dict from
+    each listed partner to its rank (a man's rank is his group's index)."""
+    men_rank = [{w: g for g, group in enumerate(groups) for w in group} for groups in smti.men_prefs]
+    women_rank = [{m: r for r, m in enumerate(p)} for p in smti.women_prefs]
+    woman_of = matching.assign
+    man_of = [UNMATCHED] * smti.n_women
+    for m, w in enumerate(woman_of):
+        if w != UNMATCHED:
+            if w not in men_rank[m]:
+                raise ValueError("matching uses an unacceptable pair")
+            man_of[w] = m
+    out = []
+    big = 1 << 30
+    for m in range(smti.n_men):
+        cur = woman_of[m]
+        cur_rank = men_rank[m][cur] if cur != UNMATCHED else big
+        for w, rank in men_rank[m].items():
+            if w == cur or rank >= cur_rank:
+                continue
+            partner = man_of[w]
+            partner_rank = women_rank[w][partner] if partner != UNMATCHED else big
+            if women_rank[w][m] < partner_rank:
+                out.append((m, w))
+    out.sort()
+    return out
+
+
+def test_blocking_pairs_match_the_rank_dict_reference():
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(150):
+        smti = _random_smti(rng, rng.randint(1, 4), rng.randint(1, 4))
+        choices = [[UNMATCHED] + [w for g in groups for w in g] for groups in smti.men_prefs]
+        for assign in itertools.product(*choices):
+            matched = [w for w in assign if w != UNMATCHED]
+            if len(set(matched)) != len(matched):
+                continue
+            matching = SmtiMatching(assign)
+            expected = _reference_blocking_pairs(smti, matching)
+            assert smti_blocking_pairs(smti, matching) == expected
+            assert is_weakly_stable(smti, matching) == (not expected)
+            checked += 1
+    assert checked > 1000
+    # an unacceptable pair is refused even after a man who blocks: m1, at w2,
+    # blocks with w1, and m2 does not list w3
+    smti = SmtiInstance.build([("m1", [["w1"], ["w2"]]), ("m2", [["w1"]])],
+                              [("w1", ["m1", "m2"]), ("w2", ["m1"]), ("w3", [])])
+    assert smti_blocking_pairs(smti, SmtiMatching([1, UNMATCHED])) == [(0, 0), (1, 0)]
+    for w in (2, 3, 7, -2, 0.0, "0"):
+        for check in (smti_blocking_pairs, is_weakly_stable):
+            with pytest.raises(ValueError, match="^matching uses an unacceptable pair$"):
+                check(smti, SmtiMatching([1, w]))
+
+
+def test_blocking_pairs_reject_a_matching_of_the_wrong_length():
+    smti = two_tied()
+    for assign in ([0], [0, 1, UNMATCHED]):
+        with pytest.raises(ValueError, match="^matching length does not match the number of men$"):
+            smti_blocking_pairs(smti, SmtiMatching(assign))
+        with pytest.raises(ValueError, match="^matching length does not match the number of men$"):
+            is_weakly_stable(smti, SmtiMatching(assign))
 
 
 # --- occ-target construction ----------------------------------------------------

@@ -240,8 +240,14 @@ def test_residual_empty_subgraph(no_stable_inst):
 
 def test_residual_rejects_negative_caps(no_stable_inst):
     empty = Matching.empty(no_stable_inst)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^negative residual capacity$"):
         find_blocking_pairs_residual(no_stable_inst, empty, [-1, 2], [])
+
+
+def test_residual_rejects_caps_of_wrong_length(no_stable_inst):
+    empty = Matching.empty(no_stable_inst)
+    with pytest.raises(ValueError, match="^residual capacity vector has wrong length$"):
+        find_blocking_pairs_residual(no_stable_inst, empty, [1], [])
 
 
 def test_residual_rejects_malformed_matching(no_stable_inst):
