@@ -209,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--ordering", default="size-desc",
                    help="size-desc | detect | file:<path> (default size-desc)")
-    p.add_argument("--trace", help="write the full solve trace to this JSON file")
+    p.add_argument("--trace", help="write the rounds to this JSON file (hrs-trace 2: partition, "
+                   "per round its pairs and listed residual capacities, final matching)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a matching for blocking pairs")

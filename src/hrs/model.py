@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import neg
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 UNMATCHED = -1
+_A = TypeVar("_A", bound="_Assignment")  # either model's matching
 
 
 class HrsError(Exception):
@@ -289,9 +290,12 @@ def _from_rows(agents: list[Row], hospitals: list, labels_of) -> HrsInstance:
     )
 
 
-class Matching:
-    """Assignment of agents to hospitals; ``assign[a]`` is a hospital index or
-    UNMATCHED. Equality is equality of the matched pair set."""
+class _Assignment:
+    """A partial map from one side of an instance to the other, the body of
+    both models' matchings: ``assign[i]`` is the index matched to member i,
+    or UNMATCHED. Equality is equality of type and pairs. Each model gives
+    ``_sides(inst)``: the kind and labels of the side matched from, and the
+    size of the side matched to."""
 
     __slots__ = ("assign",)
 
@@ -299,17 +303,46 @@ class Matching:
         self.assign = tuple(assign)
 
     @classmethod
-    def empty(cls, inst: HrsInstance) -> "Matching":
-        return cls((UNMATCHED,) * inst.n_agents)
+    def empty(cls: type[_A], inst) -> _A:
+        return cls((UNMATCHED,) * len(cls._sides(inst)[1]))
 
     @classmethod
-    def from_pairs(cls, inst: HrsInstance, pairs: Iterable[tuple[int, int]]) -> "Matching":
-        assign = [UNMATCHED] * inst.n_agents
-        for a, h in pairs:
-            if assign[a] != UNMATCHED:
-                raise InstanceError(f"agent {inst.agent_labels[a]} matched twice")
-            assign[a] = h
+    def from_pairs(cls: type[_A], inst, pairs: Iterable[tuple[int, int]]) -> _A:
+        """Raises ValueError on a pair that is not two int indices in range,
+        and InstanceError on a member matched twice."""
+        kind, labels, n_to = cls._sides(inst)
+        n_from = len(labels)
+        assign = [UNMATCHED] * n_from
+        for i, j in pairs:
+            if not (type(i) is int and 0 <= i < n_from and type(j) is int and 0 <= j < n_to):
+                raise ValueError(f"pair {(i, j)!r} is not two indices in range")
+            if assign[i] != UNMATCHED:
+                raise InstanceError(f"{kind} {labels[i]} matched twice")
+            assign[i] = j
         return cls(assign)
+
+    def pairs(self) -> list[tuple[int, int]]:
+        return [(i, j) for i, j in enumerate(self.assign) if j != UNMATCHED]
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.assign == other.assign
+
+    def __hash__(self):
+        return hash(self.assign)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.pairs()!r})"
+
+
+class Matching(_Assignment):
+    """Assignment of agents to hospitals; ``assign[a]`` is a hospital index or
+    UNMATCHED."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _sides(inst: HrsInstance) -> tuple[str, Sequence[str], int]:
+        return "agent", inst.agent_labels, inst.n_hospitals
 
     @classmethod
     def from_labeled_pairs(cls, inst: HrsInstance, pairs: Iterable[tuple[str, str]]) -> "Matching":
@@ -317,20 +350,8 @@ class Matching:
             inst, ((inst.agent_index[a], inst.hospital_index[h]) for a, h in pairs)
         )
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(a, h) for a, h in enumerate(self.assign) if h != UNMATCHED]
-
     def matched_agents(self) -> list[int]:
         return [a for a, h in enumerate(self.assign) if h != UNMATCHED]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Matching) and self.assign == other.assign
-
-    def __hash__(self):
-        return hash(self.assign)
-
-    def __repr__(self) -> str:
-        return f"Matching({self.pairs()!r})"
 
 
 def occupancy(inst: HrsInstance, matching: Matching, h: int) -> int:

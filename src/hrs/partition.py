@@ -19,7 +19,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import FormatError, HrsInstance, ValidationReport
+from .model import FormatError, HrsInstance, ValidationReport, _lines
 
 SIZE_DESCENDING = "size_descending"
 DETECTED_GEN_ML = "detected_gen_ml"
@@ -214,12 +214,9 @@ def detect_generalized_master_list(inst: HrsInstance) -> OrderedPartition | None
 def parse_partition(inst: HrsInstance, text: str) -> OrderedPartition:
     """One class per non-comment line, agent labels separated by spaces."""
     classes = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, labels in _lines(text, -1):
         members = []
-        for label in line.split():
+        for label in labels:
             if label not in inst.agent_index:
                 raise FormatError(f"unknown agent {label!r}", lineno)
             members.append(inst.agent_index[label])

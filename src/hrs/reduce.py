@@ -47,6 +47,8 @@ from .model import (
     Matching,
     ValidationReport,
     _all_labels,
+    _Assignment,
+    _lines,
 )
 from . import verify
 
@@ -143,8 +145,12 @@ class SmtiInstance:
         woman labels (singleton group = strict entry). An unknown label raises
         InstanceError, and so does every fault the constructor reports."""
         men, women = list(men), list(women)
-        w_index = {lbl: i for i, (lbl, _) in enumerate(women)}
-        m_index = {lbl: i for i, (lbl, _) in enumerate(men)}
+        men_labels, women_labels = [m[0] for m in men], [w[0] for w in women]
+        try:
+            w_index = {lbl: i for i, lbl in enumerate(women_labels)}
+            m_index = {lbl: i for i, lbl in enumerate(men_labels)}
+        except TypeError:  # an unhashable label: the constructor raises, naming it as bad
+            return cls(men_labels, [[]] * len(men), women_labels, [[]] * len(women))
 
         def index(lbl, known, kind, who):
             if lbl not in known:
@@ -156,7 +162,7 @@ class SmtiInstance:
             for lbl, groups in men
         ]
         women_prefs = [[index(x, m_index, "man", f"woman {lbl}") for x in p] for lbl, p in women]
-        return cls([m[0] for m in men], men_prefs, [w[0] for w in women], women_prefs)
+        return cls(men_labels, men_prefs, women_labels, women_prefs)
 
     def _key(self):
         return (self.men_labels, self.men_prefs, self.women_labels, self.women_prefs)
@@ -171,10 +177,10 @@ class SmtiInstance:
         return f"SmtiInstance({self.n_men} men, {self.n_women} women)"
 
 
-class SmtiMatching:
+class SmtiMatching(_Assignment):
     """Injective partial map man -> woman over acceptable pairs."""
 
-    __slots__ = ("assign",)
+    __slots__ = ()
 
     def __init__(self, assign: Sequence[int]):
         self.assign = tuple(assign)
@@ -182,30 +188,9 @@ class SmtiMatching:
         if len(set(matched)) != len(matched):
             raise InstanceError("two men matched to one woman")
 
-    @classmethod
-    def empty(cls, smti: SmtiInstance) -> "SmtiMatching":
-        return cls((UNMATCHED,) * smti.n_men)
-
-    @classmethod
-    def from_pairs(cls, smti: SmtiInstance, pairs: Iterable[tuple[int, int]]) -> "SmtiMatching":
-        assign = [UNMATCHED] * smti.n_men
-        for m, w in pairs:
-            if assign[m] != UNMATCHED:
-                raise InstanceError(f"man {smti.men_labels[m]} matched twice")
-            assign[m] = w
-        return cls(assign)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(m, w) for m, w in enumerate(self.assign) if w != UNMATCHED]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SmtiMatching) and self.assign == other.assign
-
-    def __hash__(self):
-        return hash(self.assign)
-
-    def __repr__(self) -> str:
-        return f"SmtiMatching({self.pairs()!r})"
+    @staticmethod
+    def _sides(smti: SmtiInstance) -> tuple[str, Sequence[str], int]:
+        return "man", smti.men_labels, smti.n_women
 
 
 def is_complete(smti: SmtiInstance, matching: SmtiMatching) -> bool:
@@ -282,11 +267,7 @@ def validate_csmti(smti: SmtiInstance) -> ValidationReport:
 def parse_smti(text: str) -> SmtiInstance:
     men: list[tuple[str, list[list[str]]]] = []
     women: list[tuple[str, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _lines(text, -1):
         if len(tokens) < 3 or tokens[0] not in ("m", "w") or tokens[2] != ":":
             raise FormatError("expected 'm <id> : ...' or 'w <id> : ...'", lineno)
         label = tokens[1]

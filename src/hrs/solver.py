@@ -21,9 +21,10 @@ occupancy-stable matching. Run with any partition the hospital lists follow
 
 ``solve`` returns the trace: each round's agents, residual capacities and
 matching, stored once. Everything else is derived from the rounds: the final
-matching (and ``trace_to_json``'s per-round unions) is the union of the round
-matchings, and a round's subgraph is every edge of its agents, so round
-subgraphs are disjoint because the validated partition's classes are. The
+matching is the union of the round matchings, and a round's subgraph is every
+edge of its agents, so round subgraphs are disjoint because the validated
+partition's classes are. ``trace_to_json`` writes the same facts once each
+(format ``hrs-trace 2``), in space linear in the agents plus the edges. The
 audit checks that each round runs its class on the capacities left by the
 rounds before and has no blocking pair within its subgraph and capacities.
 One round's audit costs time proportional to its edges.
@@ -56,14 +57,6 @@ class SolveRound:
     matching: Matching              # pairs added this round
 
 
-def _add_round(assign: list[int], rnd: SolveRound) -> None:
-    """Write the round's pairs, those of its own agents, into ``assign``."""
-    matched = rnd.matching.assign
-    for a in rnd.agents:
-        if matched[a] != UNMATCHED:
-            assign[a] = matched[a]
-
-
 @dataclass(frozen=True, init=False)
 class SolveTrace:
     """The rounds of one solve, in order. ``final`` is the union of the round
@@ -84,8 +77,11 @@ class SolveTrace:
     @cached_property
     def final(self) -> Matching:
         assign = [UNMATCHED] * (len(self.rounds[0].matching.assign) if self.rounds else 0)
-        for rnd in self.rounds:
-            _add_round(assign, rnd)
+        for rnd in self.rounds:  # each round adds the pairs of its own agents
+            matched = rnd.matching.assign
+            for a in rnd.agents:
+                if matched[a] != UNMATCHED:
+                    assign[a] = matched[a]
         return Matching(assign)
 
 
@@ -286,35 +282,23 @@ def check_trace(inst: HrsInstance, trace: SolveTrace) -> ValidationReport:
 
 
 def trace_to_json(inst: HrsInstance, trace: SolveTrace) -> dict:
-    """The trace as JSON, with the union of the round matchings after each
-    round as ``cumulative``."""
-    union = [UNMATCHED] * inst.n_agents
-    cumulative = []
+    """The trace as JSON, format ``hrs-trace 2``: the partition and its
+    provenance, per round its agents' pairs and the residual capacities of
+    the hospitals they list, and the final matching. Each fact is written
+    once (a round's agents are its class, its subgraph their lists), so the
+    file grows with the agents plus the edges."""
+    al, hl, prefs = inst.agent_labels, inst.hospital_labels, inst.agent_prefs
+    rounds = []
     for rnd in trace.rounds:
-        _add_round(union, rnd)
-        cumulative.append(matching_to_json(inst, Matching(union)))
+        matched, residual = rnd.matching.assign, rnd.residual_caps
+        rounds.append({
+            "matched": {al[a]: hl[matched[a]] for a in rnd.agents if matched[a] != UNMATCHED},
+            "residual_caps": {hl[h]: residual[h] for a in rnd.agents for h in prefs[a]},
+        })
     return {
-        "partition": [
-            [inst.agent_labels[a] for a in cls] for cls in trace.partition.classes
-        ],
+        "format": "hrs-trace 2",
+        "partition": [[al[a] for a in cls] for cls in trace.partition.classes],
         "provenance": trace.partition.provenance,
-        "rounds": [
-            {
-                "k": rnd.index,
-                "agents": [inst.agent_labels[a] for a in rnd.agents],
-                "edges": [
-                    [inst.agent_labels[a], inst.hospital_labels[h]]
-                    for a in rnd.agents
-                    for h in inst.agent_prefs[a]
-                ],
-                "residual_caps": {
-                    inst.hospital_labels[h]: rnd.residual_caps[h]
-                    for h in range(inst.n_hospitals)
-                },
-                "matching": matching_to_json(inst, rnd.matching),
-            }
-            for rnd in trace.rounds
-        ],
-        "cumulative": cumulative,
+        "rounds": rounds,
         "final": matching_to_json(inst, trace.final),
     }

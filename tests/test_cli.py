@@ -26,20 +26,15 @@ def example_files(tmp_path):
     return {"no_stable": str(no_stable), "gap": str(gap), "dir": tmp_path}
 
 
-# `hrs solve --trace` on the README's example instance, byte for byte: the
-# cumulative and final matchings are the unions of the round matchings
+# `hrs solve --trace` on the README's example instance, byte for byte, in
+# format hrs-trace 2: each round holds its agents' pairs and the residual
+# capacities of the hospitals they list; the final matching is their union
 NO_STABLE_TRACE = (
-    '{"cumulative": [{"matched": {"a3": "h2"}, "occupancy": {"h1": 0, "h2": 2}, "size": 2, '
-    '"unmatched": ["a1", "a2"]}, {"matched": {"a1": "h1", "a3": "h2"}, "occupancy": '
-    '{"h1": 1, "h2": 2}, "size": 3, "unmatched": ["a2"]}], "final": {"matched": '
-    '{"a1": "h1", "a3": "h2"}, "occupancy": {"h1": 1, "h2": 2}, "size": 3, "unmatched": '
-    '["a2"]}, "partition": [["a3"], ["a1", "a2"]], "provenance": "size_descending", '
-    '"rounds": [{"agents": ["a3"], "edges": [["a3", "h2"]], "k": 1, "matching": '
-    '{"matched": {"a3": "h2"}, "occupancy": {"h1": 0, "h2": 2}, "size": 2, "unmatched": '
-    '["a1", "a2"]}, "residual_caps": {"h1": 1, "h2": 2}}, {"agents": ["a1", "a2"], '
-    '"edges": [["a1", "h2"], ["a1", "h1"], ["a2", "h1"], ["a2", "h2"]], "k": 2, '
-    '"matching": {"matched": {"a1": "h1"}, "occupancy": {"h1": 1, "h2": 0}, "size": 1, '
-    '"unmatched": ["a2", "a3"]}, "residual_caps": {"h1": 1, "h2": 0}}]}\n'
+    '{"final": {"matched": {"a1": "h1", "a3": "h2"}, "occupancy": {"h1": 1, "h2": 2}, '
+    '"size": 3, "unmatched": ["a2"]}, "format": "hrs-trace 2", "partition": [["a3"], '
+    '["a1", "a2"]], "provenance": "size_descending", "rounds": [{"matched": {"a3": "h2"}, '
+    '"residual_caps": {"h2": 2}}, {"matched": {"a1": "h1"}, "residual_caps": {"h1": 1, '
+    '"h2": 0}}]}\n'
 )
 
 

@@ -139,6 +139,19 @@ def test_occupancy_sums_to_matching_size():
         assert sum(occupancies(inst, m)) == matching_size(inst, m)
 
 
+@pytest.mark.parametrize("pairs", [[(9, 0)], [(-1, 0)], [(0, 2)], [(0, -1)], [(0.0, 0)], [(True, 0)]])
+def test_from_pairs_rejects_an_index_out_of_range(no_stable_inst, pairs):
+    # -1 used to place the last agent through negative indexing, 9 raised IndexError
+    with pytest.raises(ValueError, match="is not two indices in range"):
+        Matching.from_pairs(no_stable_inst, pairs)
+
+
+def test_from_pairs_rejects_an_agent_matched_twice(no_stable_inst):
+    with pytest.raises(InstanceError, match="^agent a1 matched twice$"):
+        Matching.from_pairs(no_stable_inst, [(0, 0), (0, 1)])
+    assert Matching.from_pairs(no_stable_inst, [(2, 1), (0, 0)]) == Matching((0, UNMATCHED, 1))
+
+
 def test_is_feasible(no_stable_inst):
     good = Matching.from_labeled_pairs(no_stable_inst, [("a1", "h1"), ("a3", "h2")])
     assert is_feasible(no_stable_inst, good) == (True, None)

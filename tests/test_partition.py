@@ -203,3 +203,11 @@ def test_partition_text_round_trip(gen_ml_inst):
     assert again.classes == p.classes
     with pytest.raises(FormatError):
         parse_partition(gen_ml_inst, "a1 nope\n")
+
+
+def test_partition_parse_skips_comments_and_blank_lines_but_counts_them(no_stable_inst):
+    text = "# big agents first\n\na3  # size 2\n   # indented\na1 a2#tail\n"
+    assert parse_partition(no_stable_inst, text).classes == ((2,), (0, 1))
+    with pytest.raises(FormatError, match="unknown agent 'nope'") as err:
+        parse_partition(no_stable_inst, text + "\n# one more\na2 nope\n")
+    assert err.value.line == 8

@@ -95,6 +95,36 @@ def test_smti_parse_errors():
         parse_smti("m m1 : w1\n")  # w1 never declared
 
 
+def test_smti_parse_skips_comments_and_blank_lines_but_counts_them():
+    text = "# two men\n\nm m1 : w1  # strict\n   # indented\nm m2 : ( w1 w2\nw w1 : m1 m2\n"
+    with pytest.raises(FormatError, match="unclosed") as err:
+        parse_smti(text)
+    assert err.value.line == 5
+    fixed = text.replace("( w1 w2", "( w1 w2 )") + "w w2 : m2#x\n"
+    assert parse_smti(fixed) == SmtiInstance.build(
+        [("m1", [["w1"]]), ("m2", [["w1", "w2"]])], [("w1", ["m1", "m2"]), ("w2", ["m2"])]
+    )
+
+
+def test_smti_matching_from_pairs_checks_indices_first():
+    smti = SmtiInstance.build(
+        [("m1", [["w1"]]), ("m2", [["w2"]])], [("w1", ["m1"]), ("w2", ["m2"])]
+    )
+    # 5 used to raise IndexError, and -1 to name m2 as matched twice
+    for pairs in ([(5, 0)], [(-1, 0), (1, 1)], [(0, 2)]):
+        with pytest.raises(ValueError, match="is not two indices in range"):
+            SmtiMatching.from_pairs(smti, pairs)
+    with pytest.raises(InstanceError, match="^man m1 matched twice$"):
+        SmtiMatching.from_pairs(smti, [(0, 0), (0, 1)])
+    with pytest.raises(InstanceError, match="^two men matched to one woman$"):
+        SmtiMatching.from_pairs(smti, [(0, 0), (1, 0)])
+    matching = SmtiMatching.from_pairs(smti, [(1, 1), (0, 0)])
+    assert matching == SmtiMatching.from_pairs(smti, [(0, 0), (1, 1)])
+    assert matching != Matching(matching.assign)  # equality needs the same model
+    assert repr(matching) == "SmtiMatching([(0, 0), (1, 1)])"
+    assert SmtiMatching.empty(smti).assign == (UNMATCHED, UNMATCHED)
+
+
 def test_smti_mutuality_enforced():
     with pytest.raises(InstanceError):
         SmtiInstance.build([("m1", [["w1"]])], [("w1", [])])
@@ -169,12 +199,22 @@ _MEN_PREFS, _WOMEN_PREFS = [[[0, 1]], [[0], [1]]], [[0, 1], [1, 0]]
     (_MEN, _MEN_PREFS, _WOMEN, [[0, 1, 0], [1, 0]], "woman w1 lists m1 twice"),
     (_MEN, [[[0, 1]], [[0]]], _WOMEN, _WOMEN_PREFS, "woman w2 lists m2 which does not list her back"),
     (_MEN, _MEN_PREFS, _WOMEN, [[0], [1, 0]], "man m2 lists w1 which does not list him back"),
+    # a label that is a list: build used to raise TypeError (unhashable)
+    ([["m1"], "m2"], _MEN_PREFS, _WOMEN, _WOMEN_PREFS, "bad man label ['m1']"),
+    (_MEN, _MEN_PREFS, [["w1"], "w2"], _WOMEN_PREFS, "bad woman label ['w1']"),
 ])
 def test_smti_constructor_rejects_malformed_input(men, men_prefs, women, women_prefs, message):
     SmtiInstance(_MEN, _MEN_PREFS, _WOMEN, _WOMEN_PREFS)  # the unmutated input is valid
     with pytest.raises(InstanceError) as err:
         SmtiInstance(men, men_prefs, women, women_prefs)
     assert str(err.value) == message
+    if message.startswith(("duplicate", "bad")):  # the lists are valid: build them as labels
+        with pytest.raises(InstanceError) as err:
+            SmtiInstance.build(
+                [(m, [[women[w] for w in g] for g in groups]) for m, groups in zip(men, men_prefs)],
+                [(w, [men[m] for m in p]) for w, p in zip(women, women_prefs)],
+            )
+        assert str(err.value) == message
 
 
 def test_smti_build_and_parse_report_constructor_faults():

@@ -1,18 +1,23 @@
+import json
 import random
 import time
 from dataclasses import replace
 
 import pytest
 
-from hrs.model import UNMATCHED, HrsInstance, InstanceError, Matching, is_feasible, matching_size
+from hrs.model import (
+    UNMATCHED, HrsInstance, InstanceError, Matching, is_feasible, matching_from_json, matching_size,
+)
 from hrs.partition import (
     OrderedPartition,
     detect_generalized_master_list,
     size_descending_partition,
 )
-from hrs.solver import SolveRound, SolveTrace, check_trace, solve, solve_occupancy, uniform_gs
+from hrs.solver import (
+    SolveRound, SolveTrace, check_trace, solve, solve_occupancy, trace_to_json, uniform_gs,
+)
 from hrs.verify import find_blocking_pairs, find_occupancy_blocking_pairs, is_occupancy_stable
-from hrs.harness import GenParams, gen_master_list
+from hrs.harness import GenParams, gen_master_list, gen_random, no_stable_example
 
 from conftest import small_random_instances
 
@@ -281,11 +286,11 @@ def test_solver_occupancy_stable_sweep():
         assert m == solve(inst, size_descending_partition(inst)).final
 
 
-def test_solve_occupancy_is_linear_in_distinct_sizes():
-    # one size class per agent: a round that touched state sized by the whole
-    # instance would make this quadratic (seconds, not milliseconds)
-    n = 4_000
-    rng = random.Random(41)
+def distinct_sizes_instance(n: int, seed: int) -> HrsInstance:
+    """ROADMAP item 6's shape: one size class per agent, five hospitals per
+    agent, as many hospitals as agents. Work sized by the whole instance in
+    every round makes a pass over it quadratic."""
+    rng = random.Random(seed)
     sizes = list(range(1, n + 1))
     rng.shuffle(sizes)
     agent_prefs = [rng.sample(range(n), 5) for _ in range(n)]
@@ -296,15 +301,71 @@ def test_solve_occupancy_is_linear_in_distinct_sizes():
     for listed in hospital_prefs:
         rng.shuffle(listed)
     caps = [rng.randint(1, n) for _ in range(n)]
-    inst = HrsInstance(
+    return HrsInstance(
         [f"a{a}" for a in range(n)], sizes, agent_prefs,
         [f"h{h}" for h in range(n)], caps, hospital_prefs,
     )
+
+
+def test_solve_occupancy_is_linear_in_distinct_sizes():
+    # quadratic here would be seconds, not milliseconds
+    inst = distinct_sizes_instance(4_000, seed=41)
     start = time.process_time()
     m = solve_occupancy(inst)
     elapsed = time.process_time() - start
     assert elapsed < 1.0, f"solve_occupancy took {elapsed:.2f} s of CPU"
     assert matching_size(inst, m) > 0
+
+
+def test_trace_json_is_linear_in_agents_plus_edges():
+    # one round per agent: a file that repeated the matching or the hospitals
+    # in every round would hold thousands of bytes per agent, not tens
+    inst = distinct_sizes_instance(1_000, seed=41)
+    trace = solve(inst, size_descending_partition(inst))
+    text = json.dumps(trace_to_json(inst, trace), sort_keys=True)
+    per_item = len(text.encode()) / (inst.n_agents + inst.n_edges)
+    assert per_item <= 64, f"{per_item:.1f} bytes per agent + edge"
+
+
+def _rebuilt(inst: HrsInstance, data: dict):
+    """(partition, [(round matching, {hospital: residual capacity})], final)
+    read back from ``trace_to_json``'s output and the instance alone."""
+    ai, hi = inst.agent_index, inst.hospital_index
+    partition = OrderedPartition(
+        tuple(tuple(ai[a] for a in cls) for cls in data["partition"]), data["provenance"]
+    )
+    rounds = [
+        (Matching.from_labeled_pairs(inst, rnd["matched"].items()),
+         {hi[h]: cap for h, cap in rnd["residual_caps"].items()})
+        for rnd in data["rounds"]
+    ]
+    return partition, rounds, matching_from_json(inst, data["final"])
+
+
+def _traces_to_round_trip():
+    yield no_stable_example(), None
+    for seed in range(20):
+        params = GenParams(n_agents=24, n_hospitals=6, size_range=(1, 4), seed=seed)
+        yield gen_random(params), None
+        ml = gen_master_list(params)
+        yield ml, detect_generalized_master_list(ml)
+    yield distinct_sizes_instance(1_000, seed=43), None
+
+
+def test_trace_json_round_trips_every_round():
+    for inst, partition in _traces_to_round_trip():
+        trace = solve(inst, partition or size_descending_partition(inst))
+        data = json.loads(json.dumps(trace_to_json(inst, trace)))
+        assert data["format"] == "hrs-trace 2"
+        assert set(data) == {"format", "partition", "provenance", "rounds", "final"}
+        partition, rounds, final = _rebuilt(inst, data)
+        assert partition == trace.partition
+        assert len(rounds) == len(trace.rounds)
+        for (matching, caps), rnd in zip(rounds, trace.rounds):
+            assert matching == rnd.matching
+            listed = {h for a in rnd.agents for h in inst.agent_prefs[a]}
+            assert caps == {h: rnd.residual_caps[h] for h in listed}
+        assert final == trace.final
 
 
 def test_solver_stable_under_detected_ordering():
