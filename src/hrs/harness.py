@@ -50,11 +50,20 @@ class GenParams:
     n_ties: int | None = None
 
     def check(self) -> None:
+        """Raises ValueError on a count, range end or seed that is no int (a
+        bool counts as one) and on a value out of its range."""
+        (s_lo, s_hi), (c_lo, c_hi) = self.size_range, self.cap_range
+        if not (
+            isinstance(self.n_agents, int) and isinstance(self.n_hospitals, int)
+            and isinstance(s_lo, int) and isinstance(s_hi, int)
+            and isinstance(c_lo, int) and isinstance(c_hi, int)
+            and isinstance(self.seed, int) and isinstance(self.n_ties, (int, type(None)))
+        ):
+            raise ValueError("counts, ranges and seed must be ints")
         if self.n_agents < 0 or self.n_hospitals < 0:
             raise ValueError("negative counts")
-        for lo, hi in (self.size_range, self.cap_range):
-            if lo < 1 or hi < lo:
-                raise ValueError("empty or non-positive range")
+        if s_lo < 1 or s_hi < s_lo or c_lo < 1 or c_hi < c_lo:
+            raise ValueError("empty or non-positive range")
         if not 0.0 <= self.density <= 1.0:
             raise ValueError("density must lie in [0, 1]")
 

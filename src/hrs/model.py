@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import neg
+from operator import getitem
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 UNMATCHED = -1
@@ -74,7 +74,7 @@ class ValidationReport:
         return "; ".join(str(i) for i in self.issues) or "ok"
 
 
-def _all_labels(labels: tuple, reserved: tuple[str, ...] = (":",)) -> bool:
+def _all_labels(labels: tuple, reserved: frozenset[str] = frozenset({":"})) -> bool:
     """Each a non-empty string without whitespace or '#', and none of the
     text format's ``reserved`` tokens (the ``.hrs`` format's by default), so
     the format carries it; joined and split, such labels come back."""
@@ -82,8 +82,7 @@ def _all_labels(labels: tuple, reserved: tuple[str, ...] = (":",)) -> bool:
         joined = " ".join(labels)
     except TypeError:
         return False
-    tokens = joined.split()
-    return tokens == list(labels) and "#" not in joined and not any(r in tokens for r in reserved)
+    return joined.split() == list(labels) and "#" not in joined and reserved.isdisjoint(labels)
 
 
 def _all_positive_ints(values: tuple) -> bool:
@@ -139,6 +138,32 @@ def _issue_text(issue: Issue) -> str:
     return f"{issue.location}: {issue.message}"
 
 
+def _edge_ranks(agent_prefs: tuple, hospital_prefs: tuple, n_agents: int) -> tuple[tuple[int, ...], ...]:
+    """The negated hospital-side rank of each edge, parallel to
+    ``agent_prefs``, for hot loops and min-heaps (less negative = better).
+
+    They are read from one table per hospital, the smaller of two: a list
+    over the agents (8 bytes an agent) for a hospital that lists at least a
+    quarter of them, else a dict over the agents it lists (30-40 bytes an
+    entry). The tables die on return. A lookup raises KeyError on an agent's
+    entry that is no hospital index and, in a dict table, on an edge the
+    hospital does not list; a list table gives such an edge the rank None,
+    which the constructor rejects, and raises IndexError on an entry out of
+    range or negative (which it would read from its end)."""
+    negated = tuple(range(0, -max(map(len, hospital_prefs), default=0), -1))
+    rank_of = {}
+    for h, p in enumerate(hospital_prefs):
+        if 4 * len(p) < n_agents:
+            rank_of[h] = dict(zip(p, negated))
+        else:
+            rank_of[h] = table = [None] * n_agents
+            any(map(table.__setitem__, p, negated))  # each call returns None
+            if p and min(p) < 0:
+                raise IndexError("a list table reads a negative index from its end")
+    lookup = rank_of.__getitem__
+    return tuple([tuple(map(getitem, map(lookup, p), repeat(a))) for a, p in enumerate(agent_prefs)])
+
+
 class HrsInstance:
     """Immutable, valid instance; agents and hospitals are dense indices
     internally.
@@ -147,6 +172,8 @@ class HrsInstance:
     each agent-list entry's negated hospital-side rank: a ranks h at
     ``i = agent_prefs[a].index(h)`` and h ranks a at
     ``-agent_pref_hranks_neg[a][i]``, so a rank lookup costs O(list length).
+    The constructor reads these ranks from one table per hospital
+    (``_edge_ranks``) and keeps no table.
     """
 
     __slots__ = (
@@ -181,15 +208,7 @@ class HrsInstance:
                 {label: a for a, label in enumerate(agent_labels)},
                 {label: h for h, label in enumerate(hospital_labels)},
             )
-            # negated hospital-side rank of each edge, parallel to agent_prefs,
-            # for hot loops and min-heaps (less negative = better), read from
-            # hospital tables that are not kept. A lookup fails on an edge the
-            # hospital does not list, and on an index out of range
-            negated = tuple(map(neg, range(max(map(len, hospital_prefs), default=0))))
-            rank_of = {h: dict(zip(p, negated)) for h, p in enumerate(hospital_prefs)}
-            self.agent_pref_hranks_neg = tuple([tuple(map(
-                dict.__getitem__, map(rank_of.__getitem__, p), repeat(a)
-            )) for a, p in enumerate(agent_prefs)])
+            self.agent_pref_hranks_neg = ranks = _edge_ranks(agent_prefs, hospital_prefs, n_a)
             # with agent lists strict and their edges listed back, hospital
             # lists as long in total must be strict and list nothing else
             n_edges = sum(map(len, agent_prefs))
@@ -199,10 +218,12 @@ class HrsInstance:
                 and sum(map(len, map(set, agent_prefs))) == n_edges == sum(map(len, hospital_prefs))
                 and _all_labels(agent_labels + hospital_labels)
                 and _all_positive_ints(sizes + caps)
-                # the lookups above take a float as the equal int index
-                and all(map(int.__instancecheck__, chain.from_iterable(agent_prefs + hospital_prefs)))
+                # every entry and rank an int: the lookups take a float as the
+                # equal int index, and a sum with a float, a None or any other
+                # type in it is no int or raises TypeError
+                and type(sum(chain.from_iterable(agent_prefs + hospital_prefs + ranks))) is int
             )
-        except (KeyError, TypeError):
+        except (IndexError, KeyError, TypeError):
             valid = False
         if not valid:
             raise InstanceError(self._first_violation())
@@ -251,7 +272,7 @@ class HrsInstance:
         """
         agents, hospitals = list(agents), list(hospitals)
         try:
-            return _from_rows(agents, hospitals, iter)
+            return _from_rows(agents.copy(), hospitals.copy())
         except (KeyError, TypeError, InstanceError):
             pass
         raise InstanceError(_issue_text(check_instance_data(agents, hospitals).issues[0]))
@@ -276,18 +297,24 @@ class HrsInstance:
         return f"HrsInstance({self.n_agents} agents, {self.n_hospitals} hospitals, {self.n_edges} edges)"
 
 
-def _from_rows(agents: list[Row], hospitals: list, labels_of) -> HrsInstance:
-    """The index constructor on labelled rows; ``labels_of`` turns a row's
-    third field into labels, resolved in one ``map`` over the label index."""
+def _from_rows(agents: list[Row], hospitals: list, split: bool = False) -> HrsInstance:
+    """The index constructor on labelled rows, which it empties. Each row's
+    list field (a string to ``split`` when asked) is resolved in one ``map``
+    over the label index, and each side's list fields are dropped once
+    resolved, before the constructor runs."""
     a_labels, sizes, a_lists = zip(*agents) if agents else ((), (), ())
     h_labels, caps, h_lists = zip(*hospitals) if hospitals else ((), (), ())
+    agents.clear()
+    hospitals.clear()
+    if split:
+        a_lists, h_lists = map(str.split, a_lists), map(str.split, h_lists)
     a_index = {label: a for a, label in enumerate(a_labels)}
     h_index = {label: h for h, label in enumerate(h_labels)}
-    return HrsInstance(
-        a_labels, sizes, [tuple(map(h_index.__getitem__, labels_of(x))) for x in a_lists],
-        h_labels, caps, [tuple(map(a_index.__getitem__, labels_of(x))) for x in h_lists],
-        _indexes=(a_index, h_index),
-    )
+    a_prefs = [tuple(map(h_index.__getitem__, x)) for x in a_lists]
+    del a_lists
+    h_prefs = [tuple(map(a_index.__getitem__, x)) for x in h_lists]
+    del h_lists
+    return HrsInstance(a_labels, sizes, a_prefs, h_labels, caps, h_prefs, _indexes=(a_index, h_index))
 
 
 class _Assignment:
@@ -452,12 +479,10 @@ def _vertex_row(lineno: int, tokens: list[str], kind: str) -> tuple[str, int, st
     return tokens[1], value, plist
 
 
-def parse_instance(text: str) -> HrsInstance:
-    """Parse the text format above into an instance.
-
-    Raises FormatError with a line number for syntax problems, duplicate ids,
-    dangling references and any violated model invariant.
-    """
+def _vertex_rows(text: str) -> tuple[list[tuple[str, int, str]], list[tuple[str, int, str]]]:
+    """The agent rows and the hospital rows of the text format, each (label,
+    number, preference list still unsplit); raises FormatError with a line
+    number on a syntax problem."""
     lines = _lines(text, 4)
     lineno, tokens = next(lines, (1, None))
     if tokens != _HEADER.split():
@@ -482,11 +507,22 @@ def parse_instance(text: str) -> HrsInstance:
         (agents if kind == "a" else hospitals).append(_vertex_row(lineno, tokens, kind))
     if "agents" not in seen_sections or "hospitals" not in seen_sections:
         raise FormatError("missing 'agents:' or 'hospitals:' section")
+    return agents, hospitals
+
+
+def parse_instance(text: str) -> HrsInstance:
+    """Parse the text format above into an instance.
+
+    Raises FormatError with a line number for syntax problems, duplicate ids,
+    dangling references and any violated model invariant.
+    """
     try:
-        return _from_rows(agents, hospitals, str.split)
+        return _from_rows(*_vertex_rows(text), split=True)
     except (KeyError, InstanceError):
         pass
-    # the error path: report the first issue at the line of the vertex it names
+    # the error path: the rows went while building, so read them again, and
+    # report the first issue at the line of the vertex it names
+    agents, hospitals = _vertex_rows(text)
     first = check_instance_data(
         [(label, value, plist.split()) for label, value, plist in agents],
         [(label, value, plist.split()) for label, value, plist in hospitals],
@@ -548,13 +584,24 @@ def matching_from_json(inst: HrsInstance, data: dict) -> Matching:
     return Matching.from_pairs(inst, pairs)
 
 
+def _require_indices(values: Iterable, n: int, what: str) -> None:
+    """Raises ValueError naming the first of ``values`` that is no int index
+    in ``range(n)``."""
+    for x in values:
+        if not (type(x) is int and 0 <= x < n):
+            raise ValueError(f"{what} {x!r} is not an index in range")
+
+
 def induced_subinstance(
     inst: HrsInstance, agents: Iterable[int], hospitals: Iterable[int]
 ) -> HrsInstance:
     """Sub-instance induced by the given vertex subsets, with preference lists
-    filtered to surviving partners. Labels are preserved."""
-    keep_a = sorted(set(agents))
-    keep_h = sorted(set(hospitals))
+    filtered to surviving partners. Labels are preserved. Raises ValueError on
+    an entry that is no index in range."""
+    keep_a, keep_h = set(agents), set(hospitals)
+    _require_indices(keep_a, inst.n_agents, "agent")
+    _require_indices(keep_h, inst.n_hospitals, "hospital")
+    keep_a, keep_h = sorted(keep_a), sorted(keep_h)
     new_a = dict(zip(keep_a, range(len(keep_a))))
     new_h = dict(zip(keep_h, range(len(keep_h))))
     return HrsInstance(

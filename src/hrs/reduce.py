@@ -59,7 +59,7 @@ class ReductionError(HrsError):
 
 # --- SMTI model --------------------------------------------------------------
 
-_BRACKETS = ("(", ")")  # the .smti tokens that open and close a tie, so no label
+_BRACKETS = frozenset("()")  # the .smti tokens that open and close a tie, so no label
 
 
 class SmtiInstance:

@@ -43,6 +43,7 @@ from .model import (
     HrsInstance,
     Matching,
     ValidationReport,
+    _require_indices,
     matching_to_json,
 )
 from .partition import OrderedPartition, _size_classes, validate_ordered_partition
@@ -286,7 +287,25 @@ def trace_to_json(inst: HrsInstance, trace: SolveTrace) -> dict:
     provenance, per round its agents' pairs and the residual capacities of
     the hospitals they list, and the final matching. Each fact is written
     once (a round's agents are its class, its subgraph their lists), so the
-    file grows with the agents plus the edges."""
+    file grows with the agents plus the edges.
+
+    Raises ValueError on a trace of another instance: a partition or round
+    entry that is no agent index in range, or a round or final matching not
+    as long as the agents, or residual capacities not as long as the
+    hospitals."""
+    n_agents, n_hospitals = inst.n_agents, inst.n_hospitals
+    for cls in trace.partition.classes:
+        _require_indices(cls, n_agents, "partition entry")
+    for rnd in trace.rounds:
+        _require_indices(rnd.agents, n_agents, f"round {rnd.index} agent")
+        if len(rnd.matching.assign) != n_agents:
+            raise ValueError(f"round {rnd.index} matching has {len(rnd.matching.assign)} "
+                             f"entries for {n_agents} agents")
+        if len(rnd.residual_caps) != n_hospitals:
+            raise ValueError(f"round {rnd.index} has {len(rnd.residual_caps)} residual "
+                             f"capacities for {n_hospitals} hospitals")
+    if len(trace.final.assign) != n_agents:
+        raise ValueError(f"final matching has {len(trace.final.assign)} entries for {n_agents} agents")
     al, hl, prefs = inst.agent_labels, inst.hospital_labels, inst.agent_prefs
     rounds = []
     for rnd in trace.rounds:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from hrs.model import serialize_instance
@@ -41,6 +43,22 @@ def test_gen_random_rejects_bad_params():
         gen_random(GenParams(n_agents=3, n_hospitals=2, size_range=(0, 2)))
     with pytest.raises(ValueError):
         gen_random(GenParams(n_agents=-1, n_hospitals=2))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_agents", 2.5), ("n_hospitals", "2"), ("size_range", (1.0, 2)), ("cap_range", (1, None)),
+    ("seed", 1.5), ("seed", "1"), ("n_ties", 1.5),
+])
+def test_gen_params_reject_a_non_int(field, value):
+    # gen_random(GenParams(2.5, 2)) used to raise TypeError from range()
+    params = replace(GenParams(n_agents=3, n_hospitals=2), **{field: value})
+    with pytest.raises(ValueError, match="counts, ranges and seed must be ints"):
+        params.check()
+
+
+def test_gen_params_take_a_bool_as_the_int_it_equals():
+    as_bool = gen_random(GenParams(n_agents=True, n_hospitals=2, seed=False))
+    assert serialize_instance(as_bool) == serialize_instance(gen_random(GenParams(1, 2, seed=0)))
 
 
 def test_gen_master_list_always_detectable():

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import tracemalloc
 
 import pytest
@@ -21,7 +22,7 @@ from hrs.model import (
     parse_instance,
     serialize_instance,
 )
-from hrs.harness import GenParams, gen_random
+from hrs.harness import GenParams, gen_master_list, gen_random
 
 from conftest import small_random_instances
 
@@ -54,26 +55,43 @@ def test_parse_empty_sections():
     assert inst.n_agents == 0 and inst.n_hospitals == 0
 
 
-@pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("agents:\nhospitals:\n", "header"),
-        ("hrs v1\nagents:\na a1 0 : h1\nhospitals:\nh h1 1 : a1\n", "non-positive size"),
-        ("hrs v1\nagents:\na a1 1 :\na a1 2 :\nhospitals:\n", "duplicate agent id"),
-        ("hrs v1\nagents:\na a1 1 : hx\nhospitals:\n", "unknown hospital"),
-        ("hrs v1\nagents:\na a1 1 :\nhospitals:\nh h1 1 : a1\n", "does not list it back"),
-        ("hrs v1\nagents:\na a1 1 : h1 h1\nhospitals:\nh h1 2 : a1\n", "not strict"),
-        ("hrs v1\nagents:\nh h1 1 :\nhospitals:\n", "expected an 'a' line"),
-        ("hrs v1\nagents:\na a1 1\nhospitals:\n", "':'"),
-        ("hrs v1\nstray\nagents:\nhospitals:\n", "before the 'agents:'"),
-        ("hrs v1\nagents:\na a1 one : h1\nhospitals:\nh h1 1 : a1\n", "bad number"),
-        ("hrs v1\nagents:\n", "missing"),
-    ],
-)
+PARSE_FAULTS = [
+    ("agents:\nhospitals:\n", "header"),
+    ("hrs v1\nagents:\na a1 0 : h1\nhospitals:\nh h1 1 : a1\n", "non-positive size"),
+    ("hrs v1\nagents:\na a1 1 :\na a1 2 :\nhospitals:\n", "duplicate agent id"),
+    ("hrs v1\nagents:\na a1 1 : hx\nhospitals:\n", "unknown hospital"),
+    ("hrs v1\nagents:\na a1 1 :\nhospitals:\nh h1 1 : a1\n", "does not list it back"),
+    ("hrs v1\nagents:\na a1 1 : h1 h1\nhospitals:\nh h1 2 : a1\n", "not strict"),
+    ("hrs v1\nagents:\nh h1 1 :\nhospitals:\n", "expected an 'a' line"),
+    ("hrs v1\nagents:\na a1 1\nhospitals:\n", "':'"),
+    ("hrs v1\nstray\nagents:\nhospitals:\n", "before the 'agents:'"),
+    ("hrs v1\nagents:\na a1 one : h1\nhospitals:\nh h1 1 : a1\n", "bad number"),
+    ("hrs v1\nagents:\n", "missing"),
+]
+
+
+@pytest.mark.parametrize("text,fragment", PARSE_FAULTS)
 def test_parse_errors(text, fragment):
     with pytest.raises(FormatError) as err:
         parse_instance(text)
     assert fragment in str(err.value)
+
+
+def test_parse_error_lines_are_pinned():
+    # the error path reads the rows again: each fault keeps its line, also
+    # where a hospital lists at least a quarter of the agents
+    texts = [text for text, _ in PARSE_FAULTS] + [
+        "hrs v1\nagents:\na a1 1 : h1\na a2 1 : h1\nhospitals:\n\nh h1 2 : a1\nh h2 1 : a1\n",
+        "hrs v1\nagents:\na a1 1 : h1\na a2 1 :\nhospitals:\nh h1 2 : a1 a2\n",
+        "hrs v1\nagents:\na a1 1 : h1 h1\na a2 1 : h1\nhospitals:\nh h1 2 : a1 a2\n",
+        "hrs v1\nagents:\na a1 1 : h1\na a2 1 : h1\n# comment\nhospitals:\nh h1 2 : a2 a1 a2\n",
+    ]
+    lines = []
+    for text in texts:
+        with pytest.raises(FormatError) as err:
+            parse_instance(text)
+        lines.append(err.value.line)
+    assert lines == [1, 3, 4, 3, 5, 3, 3, 3, 2, 3, None, 4, 6, 3, 7]
 
 
 def test_parse_error_has_line_number():
@@ -245,6 +263,68 @@ def test_instance_keeps_each_preference_once():
         tracemalloc.stop()
     assert inst.n_edges == 200_000
     assert held / inst.n_edges < 50
+
+
+def test_parse_peaks_near_the_instance_it_keeps():
+    # the rows' list strings go before the constructor runs, and a hospital
+    # that lists a quarter of the agents or more gets a list table of 8 bytes
+    # an agent, not a dict: a 200k-edge parse peaks about 46 bytes an edge
+    # above its text, where one dict per hospital beside the rows took 87
+    text = serialize_instance(gen_random(GenParams(n_agents=10_000, n_hospitals=20, seed=1)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        inst = parse_instance(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert inst.n_edges == 200_000
+    assert peak / inst.n_edges <= 60
+
+
+@pytest.mark.parametrize("h1,h2", [
+    ([0, 1, 2, -1], []),   # -1 would read as a4, who lists h1
+    ([0, 1, 2, 4], []),    # out of range
+    ([0, 1, 2, 3.0], []),  # no index
+    ([0, 1, 2], [3]),      # h1 does not list a4 back, and h2 lists a4: the totals agree
+], ids=["negative", "out-of-range", "float", "unlisted"])
+def test_list_tables_reject_what_the_data_check_reports(h1, h2):
+    # h1 lists at least a quarter of the agents, so its ranks come from a list
+    # table, which raises no KeyError on an agent it does not list
+    named = ["a1", "a2", "a3", "a4"]
+    rows = [[named[x] if type(x) is int and 0 <= x < 4 else x for x in p] for p in (h1, h2)]
+    first = check_instance_data(
+        [(label, 1, ["h1"]) for label in named], [("h1", 4, rows[0]), ("h2", 1, rows[1])]
+    ).issues[0]
+    with pytest.raises(InstanceError) as err:
+        HrsInstance(named, [1] * 4, [[0]] * 4, ["h1", "h2"], [4, 1], [h1, h2])
+    assert str(err.value) == f"{first.location}: {first.message}"
+
+
+def test_zero_agents_with_an_empty_hospital_list():
+    inst = HrsInstance([], [], [], ["h1"], [1], [[]])
+    assert inst.n_agents == 0 and inst.hospital_prefs == ((),) and inst.agent_pref_hranks_neg == ()
+    assert parse_instance(serialize_instance(inst)) == inst
+
+
+def test_generator_output_is_pinned():
+    # sha256 of gen_random then gen_master_list text, 40 x 8 at density 0.3,
+    # seeds 0-19: the constructor's rank tables must not change what the
+    # generators make
+    digest = hashlib.sha256()
+    for seed in range(20):
+        params = GenParams(n_agents=40, n_hospitals=8, density=0.3, seed=seed)
+        for gen in (gen_random, gen_master_list):
+            digest.update(serialize_instance(gen(params)).encode())
+    assert digest.hexdigest() == "1feff456a6b64985769e1c72ba3381dd715599f1e26bd955b14deaee1557bfe5"
+
+
+@pytest.mark.parametrize("agents,hospitals", [([0, 99], [0]), ([-1], [0]), ([0], [2]), ([0.0], [0])])
+def test_induced_subinstance_rejects_an_index_out_of_range(no_stable_inst, agents, hospitals):
+    # 99 used to raise IndexError, and -1 to keep the last agent
+    with pytest.raises(ValueError, match="is not an index in range"):
+        induced_subinstance(no_stable_inst, agents, hospitals)
 
 
 @pytest.mark.parametrize("label", ["", "h 1", "h#1", ":"])

@@ -380,3 +380,24 @@ def test_solver_stable_under_detected_ordering():
 def test_single_agent_fits():
     inst = HrsInstance.build([("a1", 2, ["h1"])], [("h1", 3, ["a1"])])
     assert solve_occupancy(inst) == Matching.from_labeled_pairs(inst, [("a1", "h1")])
+
+
+def test_trace_json_rejects_a_trace_of_another_instance():
+    # a 6-agent trace against the 3-agent example used to raise IndexError
+    inst = no_stable_example()
+    other = gen_random(GenParams(n_agents=6, n_hospitals=4, seed=3))
+    with pytest.raises(ValueError, match="partition entry 5 is not an index in range"):
+        trace_to_json(inst, solve(other, size_descending_partition(other)))
+    trace = solve(inst, size_descending_partition(inst))
+    rnd = trace.rounds[0]
+    for bad, message in [
+        (replace(rnd, matching=Matching(rnd.matching.assign + (UNMATCHED,))),
+         "round 1 matching has 4 entries for 3 agents"),
+        (replace(rnd, residual_caps=rnd.residual_caps[:-1]),
+         "round 1 has 1 residual capacities for 2 hospitals"),
+        (replace(rnd, agents=(-1,)), "round 1 agent -1 is not an index in range"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            trace_to_json(inst, SolveTrace(trace.partition, (bad,) + trace.rounds[1:]))
+    with pytest.raises(ValueError, match="^final matching has 2 entries for 3 agents$"):
+        trace_to_json(inst, SolveTrace(trace.partition, trace.rounds, Matching((UNMATCHED,) * 2)))
