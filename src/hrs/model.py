@@ -164,6 +164,19 @@ def _edge_ranks(agent_prefs: tuple, hospital_prefs: tuple, n_agents: int) -> tup
     return tuple([tuple(map(getitem, map(lookup, p), repeat(a))) for a, p in enumerate(agent_prefs)])
 
 
+class _Unresolved:
+    """A list entry that is no index, in labelled rows: shown as the entry,
+    and equal to no label, even as a string that names a vertex."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __repr__(self) -> str:
+        return repr(self.entry)
+
+
 class HrsInstance:
     """Immutable, valid instance; agents and hospitals are dense indices
     internally.
@@ -236,9 +249,11 @@ class HrsInstance:
         return _issue_text(check_instance_data(*self._rows()).issues[0])
 
     def _rows(self) -> tuple[list[Row], list[Row]]:
-        """Labelled rows; an entry that is no index in range stays as it is."""
+        """Labelled rows; an entry that is no index in range is carried as
+        ``_Unresolved``, which no label equals."""
         def named(p, labels):
-            return [labels[x] if isinstance(x, int) and 0 <= x < len(labels) else x for x in p]
+            n = len(labels)
+            return [labels[x] if isinstance(x, int) and 0 <= x < n else _Unresolved(x) for x in p]
         al, hl = self.agent_labels, self.hospital_labels
         return (
             [(al[a], self.sizes[a], named(p, hl)) for a, p in enumerate(self.agent_prefs)],
@@ -373,9 +388,22 @@ class Matching(_Assignment):
 
     @classmethod
     def from_labeled_pairs(cls, inst: HrsInstance, pairs: Iterable[tuple[str, str]]) -> "Matching":
-        return cls.from_pairs(
-            inst, ((inst.agent_index[a], inst.hospital_index[h]) for a, h in pairs)
-        )
+        """Raises InstanceError on the first pair with a label the instance
+        does not have, and on an agent matched twice."""
+        pairs = list(pairs)
+        a_index, h_index = inst.agent_index, inst.hospital_index
+        try:
+            indexed = [(a_index[a], h_index[h]) for a, h in pairs]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            for a, h in pairs:
+                if not (isinstance(a, str) and a in a_index):
+                    raise InstanceError(f"unknown agent {a!r} in matching") from None
+                if not isinstance(h, str):
+                    raise InstanceError(f"hospital of agent {a!r} is not a label: {h!r}") from None
+                if h not in h_index:
+                    raise InstanceError(f"unknown hospital {h!r} in matching") from None
+            raise
+        return cls.from_pairs(inst, indexed)
 
     def matched_agents(self) -> list[int]:
         return [a for a, h in enumerate(self.assign) if h != UNMATCHED]
@@ -417,13 +445,16 @@ def _feasibility_fault(inst: HrsInstance, matching: Matching, caps: Sequence[int
         return "assignment length does not match agent count"
     caps = inst.caps if caps is None else caps
     allowed = None if agents is None else set(agents)
+    for a in allowed or ():
+        if not isinstance(a, int):
+            return f"agent {a!r} is not an index in range"
     n_hospitals = inst.n_hospitals
     occ = [0] * n_hospitals
     for a, h in enumerate(matching.assign):
         if h == UNMATCHED:
             continue
-        if not 0 <= h < n_hospitals:
-            return f"agent {inst.agent_labels[a]} assigned to unknown hospital index {h}"
+        if not (isinstance(h, int) and 0 <= h < n_hospitals):
+            return f"agent {inst.agent_labels[a]} assigned to unknown hospital index {h!r}"
         if allowed is not None and a not in allowed:
             return f"agent {inst.agent_labels[a]} matched outside the given agents"
         if h not in inst.agent_prefs[a]:
@@ -569,19 +600,11 @@ def matching_to_json(inst: HrsInstance, matching: Matching) -> dict:
 
 
 def matching_from_json(inst: HrsInstance, data: dict) -> Matching:
+    """The matching of ``matching_to_json``'s ``matched`` map; raises
+    InstanceError on another shape and as ``Matching.from_labeled_pairs``."""
     if not isinstance(data, dict) or not isinstance(data.get("matched", {}), dict):
         raise InstanceError("matching JSON must be an object with a 'matched' map")
-    matched = data.get("matched", {})
-    pairs = []
-    for a_label, h_label in matched.items():
-        if a_label not in inst.agent_index:
-            raise InstanceError(f"unknown agent {a_label!r} in matching")
-        if not isinstance(h_label, str):
-            raise InstanceError(f"hospital of agent {a_label!r} is not a label: {h_label!r}")
-        if h_label not in inst.hospital_index:
-            raise InstanceError(f"unknown hospital {h_label!r} in matching")
-        pairs.append((inst.agent_index[a_label], inst.hospital_index[h_label]))
-    return Matching.from_pairs(inst, pairs)
+    return Matching.from_labeled_pairs(inst, data.get("matched", {}).items())
 
 
 def _require_indices(values: Iterable, n: int, what: str) -> None:

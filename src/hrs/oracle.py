@@ -2,21 +2,22 @@
 
 Every query is a loop over one explicit-stack search, ``_search``. It places
 agents one position at a time, each on a hospital of its list with enough
-residual capacity or nowhere (tried last, and not at all for ``a-perfect``),
-and counts one node per descent. Whether a pair (b, h) blocks depends only on
-b's hospital and h's residents, so it is final once b and every agent that may
-still be placed at h are placed. At each position a close check tests the
-pairs that have just become final, through ``verify._hospital_blocks``, and
-cuts the branch when one blocks, so every leaf is unblocked. Every bound in
-the budget (node count, wall clock, solution cap) stops the query with an
-explicit ``budget_exhausted`` verdict and the matchings it has built so far.
+residual capacity or nowhere (tried last), and counts one node per descent.
+Whether a pair (b, h) blocks depends only on b's hospital and h's residents,
+so it is final once b and every agent that may still be placed at h are
+placed. At each position a close check tests the pairs that have just become
+final, through ``verify._hospital_blocks``, and cuts the branch when one
+blocks, so every leaf is unblocked. Every bound in the budget (node count,
+wall clock, solution cap) stops the query with an explicit
+``budget_exhausted`` verdict and the matchings it has built so far.
 
 Canonical order compares matchings agent by agent, by each agent's hospital's
 position on that agent's list, unmatched last: the order in which a search
 that places agents by index finds them. The occupancy queries run that
 search (``_stable_leaves``), testing a hospital at its last listing agent.
 ``max-occ`` also cuts a branch once its matched size plus the sizes of all
-agents still to come cannot beat the best value found.
+agents still to come cannot beat the best value found. ``a-perfect`` is that
+search started one below the total size, which cuts every unmatched branch.
 
 The stable-matching query searches each connected component of the instance
 alone, and places its agents in a closing order (``_closing_order``): next is
@@ -115,7 +116,6 @@ def _search(
     caps: Sequence[int],
     prefs: Sequence[Sequence[int]],
     ticker: _Ticker,
-    perfect: bool = False,
     floor: list[int] | None = None,
     close: Sequence[Sequence[tuple[int, int | None]]] | None = None,
     blocks: Callable[..., bool] | None = None,
@@ -124,21 +124,22 @@ def _search(
     occ: list[int] | None = None,
 ) -> Iterator[tuple[list[int], int]]:
     """Depth-first sweep over feasible assignments, in canonical order: the
-    agents of ``order`` (default: all, by index), each first to every
-    hospital of ``prefs[a]`` with room, in list order, then to nothing
-    (skipped when ``perfect``). The others keep their hospital in the starting
-    ``assign``, whose occupancies ``occ`` holds (both or neither; default:
-    nobody matched); a sweep that runs to its end leaves both as it found
-    them. Yields the live ``(assign, size placed)`` at each leaf; the caller
-    copies what it keeps. Each descent ticks once.
+    agents of ``order`` (default: all, by index), each first to every hospital
+    of ``prefs[a]`` with room, in list order, then to nothing. The others keep
+    their hospital in the starting ``assign``, whose occupancies ``occ`` holds
+    (both or neither; default: nobody matched); a sweep that runs through
+    every branch leaves both as it found them. Yields the live
+    ``(assign, size placed)`` at each leaf; the caller copies what it keeps.
+    Each descent ticks once.
 
     Once the first k agents are placed, and before the k-th descent ticks,
     ``blocks(assign, occ, h, agent)`` runs on each (h, agent) of ``close[k]``
     and asks whether a pair that has just become final blocks; True cuts the
     branch (for k = 0, everything). A branch is also cut when its placed size
     plus the sizes of all later agents with a nonempty list is at most
-    ``floor[0]``, which the caller may raise between leaves. The stack is
-    explicit, so the agent count is not bounded by the recursion limit."""
+    ``floor[0]``, which the caller may raise between leaves; a floor no branch
+    can beat ends the sweep there. The stack is explicit, so the agent count
+    is not bounded by the recursion limit."""
     order = range(len(sizes)) if order is None else order
     n = len(order)
     floor = floor if floor is not None else [-1]
@@ -146,15 +147,15 @@ def _search(
         assign, occ = [UNMATCHED] * len(sizes), [0] * len(caps)
     close = close or [()] * (n + 1)
     test = partial(blocks, assign, occ) if blocks else None
-    if any(test(h, b) for h, b in close[0]):
-        return
-    sizes_at = [sizes[b] for b in order]
-    options_at = [prefs[b] for b in order]
-    widths = [len(options) for options in options_at]
+    sizes_at = list(map(sizes.__getitem__, order))
+    options_at = list(map(prefs.__getitem__, order))
+    widths = list(map(len, options_at))
     # rest[p]: the most that positions p.. can still add to the matched size
     rest = [0] * (n + 1)
     for p in range(n - 1, -1, -1):
         rest[p] = rest[p + 1] + (sizes_at[p] if widths[p] else 0)
+    if rest[0] <= floor[0] or any(test(h, b) for h, b in close[0]):
+        return
     # choice[p]: position in the options of p's next branch; widths[p] is the
     # unmatched branch, anything past it means p's branches are exhausted
     choice = [0] * (n + 1)
@@ -166,6 +167,8 @@ def _search(
         if p == n:
             yield assign, value
             lo = floor[0]  # the caller may have raised it
+            if lo >= rest[0]:
+                return  # no branch can beat it
             p -= 1
             continue
         b = order[p]
@@ -175,9 +178,11 @@ def _search(
             assign[b] = UNMATCHED
             occ[h] -= s
             value -= s
-        if value + rest[p] <= lo:
-            p -= 1
-            continue
+            # a descent keeps value + rest[p] above the floor, which rises
+            # only at a leaf: only a branch taken back can fall to it
+            if value + rest[p] <= lo:
+                p -= 1
+                continue
         i = choice[p]
         width = widths[p]
         options = options_at[p]
@@ -190,7 +195,7 @@ def _search(
                 value += s
                 break
         else:
-            if i > width or perfect or value + rest[p + 1] <= lo:
+            if i > width or value + rest[p + 1] <= lo:
                 p -= 1
                 continue
             i += 1  # the unmatched branch
@@ -245,8 +250,7 @@ def enumerate_feasible(
 
 
 def _stable_leaves(
-    inst: HrsInstance, kind: str, ticker: _Ticker, perfect: bool = False,
-    floor: list[int] | None = None,
+    inst: HrsInstance, kind: str, ticker: _Ticker, floor: list[int] | None = None
 ) -> Iterator[tuple[list[int], int]]:
     """The index-order search with the close check of ``kind``: it cuts every
     branch with a blocking pair, so each leaf is a matching with none, and
@@ -258,7 +262,7 @@ def _stable_leaves(
         if listed:
             close[max(listed) + 1].append((h, None))
     test = partial(verify._hospital_blocks, inst, verify._eviction_mask(inst.sizes, kind))
-    return _search(inst.sizes, inst.caps, inst.agent_prefs, ticker, perfect, floor, close, test)
+    return _search(inst.sizes, inst.caps, inst.agent_prefs, ticker, floor, close, test)
 
 
 def stable_matchings(
@@ -341,44 +345,36 @@ def occupancy_stable_matchings(
     return OracleResult(verdict, found, None, ticker.nodes)
 
 
-def max_occupancy_stable(
-    inst: HrsInstance, budget: SearchBudget | None = None
-) -> OracleResult:
-    """An occupancy-stable matching of maximum total size, with its value.
-
-    Branch and bound over the common search: the floor is the best stable
-    value so far, so a branch is cut when its matched size plus the sizes of
-    every later agent with a nonempty list cannot exceed it. A leaf replaces
-    the incumbent only when strictly larger, so the cut never changes the
-    answer: the first maximum in search order."""
+def _max_stable(inst: HrsInstance, budget: SearchBudget | None, floor: int) -> OracleResult:
+    """The first occupancy-stable matching of maximum total size above
+    ``floor`` in search order, with its value; complete and empty when none
+    is above it. A branch and bound: the floor rises to each leaf's value, so
+    only a strictly larger leaf replaces the incumbent."""
     ticker = _Ticker(budget or SearchBudget())
     best: list[Matching] = []
-    floor = [-1]
+    bound = [floor]
     verdict = COMPLETE
     try:
-        for assign, value in _stable_leaves(inst, verify.OCCUPANCY, ticker, floor=floor):
-            # every leaf is stable, and the cut let it through, so value > floor[0]
-            floor[0] = value
+        for assign, value in _stable_leaves(inst, verify.OCCUPANCY, ticker, bound):
+            bound[0] = value  # the cut let the leaf through: value > bound[0]
             best[:] = [Matching(assign)]
     except BudgetExhausted:
         verdict = EXHAUSTED
-    return OracleResult(verdict, best, floor[0] if best else None, ticker.nodes)
+    return OracleResult(verdict, best, bound[0] if best else None, ticker.nodes)
+
+
+def max_occupancy_stable(inst: HrsInstance, budget: SearchBudget | None = None) -> OracleResult:
+    """An occupancy-stable matching of maximum total size, with its value."""
+    return _max_stable(inst, budget, -1)
 
 
 def exists_a_perfect_occupancy_stable(
     inst: HrsInstance, budget: SearchBudget | None = None
 ) -> OracleResult:
     """Decision: is there an occupancy-stable matching with every agent
-    matched? Complete with a witness when yes; complete and empty when the
-    full sweep finds none."""
-    ticker = _Ticker(budget or SearchBudget())
-    try:
-        leaf = next(_stable_leaves(inst, verify.OCCUPANCY, ticker, perfect=True), None)
-    except BudgetExhausted:
-        return OracleResult(EXHAUSTED, [], None, ticker.nodes)
-    if leaf is None:
-        return OracleResult(COMPLETE, [], None, ticker.nodes)
-    return OracleResult(COMPLETE, [Matching(leaf[0])], leaf[1], ticker.nodes)
+    matched? The maximum search started one below the total size: complete
+    with a witness when yes, complete and empty when none reaches it."""
+    return _max_stable(inst, budget, sum(inst.sizes) - 1)
 
 
 def smti_complete_stable(smti: SmtiInstance) -> SmtiMatching | None:
@@ -391,9 +387,10 @@ def smti_complete_stable(smti: SmtiInstance) -> SmtiMatching | None:
         return None
     n = smti.n_men
     choices = [[w for group in smti.men_prefs[m] for w in group] for m in range(n)]
-    # at most 7! complete assignments: the default node budget never trips
+    # at most 7! complete assignments: the default node budget never trips;
+    # the floor n - 1 cuts every branch that leaves a man unmatched
     ticker = _Ticker(SearchBudget())
-    for assign, _ in _search([1] * n, [1] * smti.n_women, choices, ticker, perfect=True):
+    for assign, _ in _search([1] * n, [1] * smti.n_women, choices, ticker, [n - 1]):
         candidate = SmtiMatching(assign)
         if is_weakly_stable(smti, candidate):
             return candidate

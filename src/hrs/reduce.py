@@ -153,9 +153,10 @@ class SmtiInstance:
             return cls(men_labels, [[]] * len(men), women_labels, [[]] * len(women))
 
         def index(lbl, known, kind, who):
-            if lbl not in known:
-                raise InstanceError(f"{who} lists unknown {kind} {lbl!r}")
-            return known[lbl]
+            try:
+                return known[lbl]
+            except (KeyError, TypeError):  # TypeError: an unhashable entry
+                raise InstanceError(f"{who} lists unknown {kind} {lbl!r}") from None
 
         men_prefs = [
             [[index(x, w_index, "woman", f"man {lbl}") for x in group] for group in groups]

@@ -173,8 +173,8 @@ def uniform_gs(
     class_agents = tuple(class_agents)  # read twice: validated, then run
     seen: set[int] = set()
     for a in class_agents:
-        if not 0 <= a < inst.n_agents:
-            raise ValueError(f"class agent index {a} out of range")
+        if not (isinstance(a, int) and 0 <= a < inst.n_agents):
+            raise ValueError(f"class agent index {a!r} out of range")
         if a in seen:
             raise ValueError(f"class repeats agent {inst.agent_labels[a]}")
         seen.add(a)

@@ -260,9 +260,13 @@ def _placed(inst: HrsInstance, matching: Matching, caps: Sequence[int] | None = 
     ok = len(assign) == inst.n_agents
     placed: Iterable[tuple[int, int]] = enumerate(assign)
     if ok and agents is not None:
-        hs = list(map(assign.__getitem__, agents))
-        ok = len(hs) - hs.count(UNMATCHED) == len(assign) - assign.count(UNMATCHED)
-        placed = zip(agents, hs)
+        try:
+            hs = list(map(assign.__getitem__, agents))
+        except TypeError:  # an agent that is no int index
+            ok = False
+        else:
+            ok = len(hs) - hs.count(UNMATCHED) == len(assign) - assign.count(UNMATCHED)
+            placed = zip(agents, hs)
     if ok:
         sizes = inst.sizes
         agent_prefs = inst.agent_prefs
@@ -272,9 +276,9 @@ def _placed(inst: HrsInstance, matching: Matching, caps: Sequence[int] | None = 
                 continue
             try:
                 held[a] = -edge_ranks[a][agent_prefs[a].index(h)]
-            except ValueError:  # not on a's list
+                free[h] -= sizes[a]
+            except (ValueError, TypeError):  # not on a's list, or a float equal to an index on it
                 break
-            free[h] -= sizes[a]
             if h in residents:
                 residents[h].append(a)
             else:
@@ -321,16 +325,20 @@ def find_blocking_pairs_residual(
     capacities; used to audit one solver round at a time.
 
     The subgraph is every edge of the given agents; out-of-range indices are
-    ignored. The matching must match only those agents, along their lists,
-    within the residual capacities; ``_placed`` raises ValueError if not. Work is
-    proportional to the agents' edges plus C-speed passes over the capacity
-    and assignment vectors, so auditing every round of a solve costs about
-    one full scan.
+    ignored, and an entry that is no int index raises ValueError. The matching
+    must match only those agents, along their lists, within the residual
+    capacities; ``_placed`` raises ValueError if not. Work is proportional to
+    the agents' edges plus C-speed passes over the capacity and assignment
+    vectors, so auditing every round of a solve costs about one full scan.
     """
     residual_caps = _residual_caps(inst, residual_caps)
-    ordered = sorted(set(agents))
-    if ordered and (ordered[0] < 0 or ordered[-1] >= inst.n_agents):
-        ordered = [a for a in ordered if 0 <= a < inst.n_agents]
+    given = set(agents)
+    try:
+        ordered = sorted(given)
+        if ordered and (ordered[0] < 0 or ordered[-1] >= inst.n_agents):
+            ordered = [a for a in ordered if 0 <= a < inst.n_agents]
+    except TypeError:  # an entry that no int compares with, which _placed names
+        ordered = [a for a in given if not isinstance(a, int) or 0 <= a < inst.n_agents]
     out: list[BlockingWitness] = []
     _scan_pairs(inst, matching, CLASSIC, out, residual_caps, ordered)
     return out

@@ -191,6 +191,30 @@ def test_matching_json_round_trip(no_stable_inst):
     assert matching_from_json(no_stable_inst, data) == m
 
 
+def test_labeled_pairs_name_a_bad_label(no_stable_inst):
+    # labelled pairs take one path: the constructor and matching_from_json
+    # raise InstanceError naming the first bad label, never KeyError or
+    # TypeError
+    for pairs, message in [
+        ([("a1", "h1"), ("zz", "h1")], "unknown agent 'zz' in matching"),
+        ([(["a1"], "h1")], "unknown agent ['a1'] in matching"),
+        ([("a1", "h9")], "unknown hospital 'h9' in matching"),
+        ([("a1", ["h1"])], "hospital of agent 'a1' is not a label: ['h1']"),
+        ([("a1", 0)], "hospital of agent 'a1' is not a label: 0"),
+    ]:
+        with pytest.raises(InstanceError) as err:
+            Matching.from_labeled_pairs(no_stable_inst, pairs)
+        assert str(err.value) == message
+        if all(isinstance(a, str) for a, _ in pairs):
+            with pytest.raises(InstanceError) as err:
+                matching_from_json(no_stable_inst, {"matched": dict(pairs)})
+            assert str(err.value) == message
+    with pytest.raises(InstanceError, match="^agent a1 matched twice$"):
+        Matching.from_labeled_pairs(no_stable_inst, [("a1", "h1"), ("a1", "h2")])
+    with pytest.raises(InstanceError, match="^matching JSON must be an object with a 'matched' map$"):
+        matching_from_json(no_stable_inst, {"matched": [["a1", "h1"]]})
+
+
 def test_matching_equality_is_pair_set(no_stable_inst):
     m1 = Matching.from_labeled_pairs(no_stable_inst, [("a3", "h2"), ("a1", "h1")])
     m2 = Matching.from_labeled_pairs(no_stable_inst, [("a1", "h1"), ("a3", "h2")])
@@ -226,6 +250,8 @@ def test_index_constructor_rejects_bad_indices():
         HrsInstance(["a1"], [1, 1], [[]], [], [], [])
     with pytest.raises(InstanceError, match="hospital h1: lists a1 which does not list it back"):
         HrsInstance(["a1"], [1], [[]], ["h1"], [1], [[0]])
+    with pytest.raises(InstanceError, match="^hospital h1: lists unknown agent 'a1'$"):
+        HrsInstance(["a1"], [1], [[0]], ["h1"], [5], [["a1"]])
     # a repeated agent entry, also where the hospital lists balance the
     # totals, and entries out of range, negative, float or bool on either side
     for agent_prefs, hospital_prefs, message in [
@@ -237,6 +263,10 @@ def test_index_constructor_rejects_bad_indices():
         ([[0], []], [[0.0], []], "hospital h1: lists unknown agent 0.0"),
         ([[1.0], []], [[], [0]], "agent a1: lists unknown hospital 1.0"),
         ([[True], []], [[], [1]], "agent a1: lists h2 which does not list it back"),
+        # a label where an index belongs is an unknown entry, even one that
+        # names a vertex of the other side
+        ([[0], []], [["a1"], []], "hospital h1: lists unknown agent 'a1'"),
+        ([["h1"], []], [[0], []], "agent a1: lists unknown hospital 'h1'"),
     ]:
         with pytest.raises(InstanceError) as err:
             HrsInstance(["a1", "a2"], [1, 1], agent_prefs, ["h1", "h2"], [1, 1], hospital_prefs)

@@ -291,6 +291,13 @@ def test_a_perfect_decision(no_stable_inst, gap_inst):
     assert yes.complete and yes.matchings and yes.value == 7
     no = exists_a_perfect_occupancy_stable(no_stable_inst)
     assert no.complete and not no.matchings  # total size 4 vs capacity 3
+    # the decision is the maximum search started one below the total size:
+    # an agent that lists nothing keeps every branch below it, so the root
+    # settles it without a node
+    lonely = HrsInstance.build([("a1", 1, ["h1"]), ("a2", 1, [])], [("h1", 1, ["a1"])])
+    no = exists_a_perfect_occupancy_stable(lonely)
+    assert no.complete and not no.matchings and no.nodes == 0
+    assert max_occupancy_stable(lonely).value == 1
 
 
 def test_oracle_agrees_with_verifiers():

@@ -184,6 +184,22 @@ def test_validate_cover_and_homogeneity(no_stable_inst):
     assert any("empty class" in i.message for i in report.issues)
 
 
+def test_validate_reports_a_non_int_class_entry(no_stable_inst):
+    # an entry that is no int is an issue, not a TypeError from a comparison
+    # or an index, and the rest of its class is still checked
+    partition = OrderedPartition(((0, "x", 1, 0.5), (2, None)))
+    assert [str(i) for i in validate_ordered_partition(no_stable_inst, partition).issues] == [
+        "error at class #0: unknown agent index 'x'",
+        "error at class #0: unknown agent index 0.5",
+        "error at class #1: unknown agent index None",
+    ]
+    partition = OrderedPartition(((0, 1.0), (2,)))
+    assert [str(i) for i in validate_ordered_partition(no_stable_inst, partition).issues] == [
+        "error at class #0: unknown agent index 1.0",
+        "error at partition: agents not covered: a2",
+    ]
+
+
 def test_master_list_partition(no_stable_inst):
     p = master_list_partition(no_stable_inst, [0, 1, 2])
     assert classes_by_label(no_stable_inst, p) == [("a1",), ("a2",), ("a3",)]

@@ -222,6 +222,9 @@ def test_smti_build_and_parse_report_constructor_faults():
         SmtiInstance.build([("m1", [["w1"]]), ("m1", [["w1"]])], [("w1", ["m1"])])
     with pytest.raises(InstanceError, match="^man m1 lists unknown woman 'w9'$"):
         SmtiInstance.build([("m1", [["w9"]])], [("w1", [])])
+    # an unhashable entry is an unknown label too
+    with pytest.raises(InstanceError, match=r"^man m1 lists unknown woman \['w1'\]$"):
+        SmtiInstance.build([("m1", [[["w1"]]])], [("w1", ["m1"])])
     # a man '(' with an empty list: written out, it would read back as a tie
     for text in ("m ( :\n", "m m1 : w1\nw w1 : m1\nm m1 : w1\n"):
         with pytest.raises(FormatError):

@@ -95,6 +95,11 @@ def test_uniform_gs_rejects_mixed_sizes(no_stable_inst):
         uniform_gs(inst, [-1], [1, 1])
     with pytest.raises(ValueError, match="^class agent index 5 out of range$"):
         uniform_gs(inst, [5], [1, 1])
+    # a float once passed the range check and raised TypeError on the sizes
+    with pytest.raises(ValueError, match=r"^class agent index 0\.0 out of range$"):
+        uniform_gs(inst, [0.0], [1, 1])
+    with pytest.raises(ValueError, match="^class agent index 'a1' out of range$"):
+        uniform_gs(inst, ["a1"], [1, 1])
     # validating a generator once used it up, so no agent ran
     agents = (a for a in [0, 1])
     assert uniform_gs(no_stable_inst, agents, no_stable_inst.caps) == Matching.from_pairs(

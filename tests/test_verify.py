@@ -266,6 +266,29 @@ def test_residual_rejects_malformed_matching(no_stable_inst):
             )
 
 
+def test_residual_rejects_a_non_int_agent(no_stable_inst):
+    # a float agent passes the range filter, and a string one fails its
+    # comparisons; placing the matching names either
+    empty = Matching.empty(no_stable_inst)
+    for agents, name in (([0.5], "0.5"), (["a1"], "'a1'"), ([7, "a1", 0], "'a1'")):
+        with pytest.raises(ValueError) as exc:
+            find_blocking_pairs_residual(no_stable_inst, empty, [1, 2], agents)
+        assert str(exc.value) == f"infeasible matching: agent {name} is not an index in range"
+
+
+def test_verifiers_reject_a_non_int_hospital(no_stable_inst):
+    # a float equal to a listed index passes the list lookup, and a label
+    # fails it; both are faults of the matching, not TypeErrors
+    for h in (1.0, "h1"):
+        matching = Matching((h, UNMATCHED, UNMATCHED))
+        message = f"agent a1 assigned to unknown hospital index {h!r}"
+        assert _feasibility_fault(no_stable_inst, matching) == message
+        for verifier in (is_stable, is_occupancy_stable):
+            with pytest.raises(ValueError) as exc:
+                verifier(no_stable_inst, matching)
+            assert str(exc.value) == "infeasible matching: " + message
+
+
 def _with_fault(rng, inst, allowed, kind):
     """A random assignment of the ``allowed`` agents along their lists, with
     one fault of ``kind`` planted when the instance has room for it."""
