@@ -388,14 +388,19 @@ class Matching(_Assignment):
 
     @classmethod
     def from_labeled_pairs(cls, inst: HrsInstance, pairs: Iterable[tuple[str, str]]) -> "Matching":
-        """Raises InstanceError on the first pair with a label the instance
-        does not have, and on an agent matched twice."""
+        """Raises InstanceError on the first entry that is no pair or has a
+        label the instance does not have, and on an agent matched twice."""
         pairs = list(pairs)
         a_index, h_index = inst.agent_index, inst.hospital_index
         try:
             indexed = [(a_index[a], h_index[h]) for a, h in pairs]
-        except (KeyError, TypeError):  # TypeError: an unhashable label
-            for a, h in pairs:
+        except (KeyError, TypeError, ValueError):  # an unknown or unhashable label, or no pair
+            for pair in pairs:
+                try:
+                    a, h = pair
+                except (TypeError, ValueError):
+                    message = f"matching entry {pair!r} is not an (agent, hospital) pair"
+                    raise InstanceError(message) from None
                 if not (isinstance(a, str) and a in a_index):
                     raise InstanceError(f"unknown agent {a!r} in matching") from None
                 if not isinstance(h, str):

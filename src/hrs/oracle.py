@@ -13,22 +13,24 @@ wall clock, solution cap) stops the query with an explicit
 
 Canonical order compares matchings agent by agent, by each agent's hospital's
 position on that agent's list, unmatched last: the order in which a search
-that places agents by index finds them. The occupancy queries run that
+that places agents by index finds them. The optimisation queries run that
 search (``_stable_leaves``), testing a hospital at its last listing agent.
 ``max-occ`` also cuts a branch once its matched size plus the sizes of all
 agents still to come cannot beat the best value found. ``a-perfect`` is that
 search started one below the total size, which cuts every unmatched branch.
 
-The stable-matching query searches each connected component of the instance
-alone, and places its agents in a closing order (``_closing_order``): next is
-the agent that closes the most hospitals, so their pairs become final early.
-Classic stability also makes a pair (b, h) final as soon as b and the agents
-h ranks above b are placed, and the search tests it there. The stable
-matchings are the product of the components' stable assignments, sorted in
-canonical order, and a component with none settles the query at once. Every
-component finds one assignment before any runs in full, so a bound that trips
-after that still leaves a witness. Each leaf found pays for one matching of
-the product, and every matching past those costs a node.
+Both enumeration queries, ``stable`` and ``occ-stable``, run one component
+search (``_component_matchings``), given the notion. It searches each
+connected component of the instance alone, and places its agents in a
+closing order (``_closing_order``): next is the agent that closes the most
+hospitals, so their pairs become final early. Classic stability also makes a
+pair (b, h) final as soon as b and the agents h ranks above b are placed, and
+the search tests it there (``_closer``). The matchings are the product of the
+components' unblocked assignments, sorted in canonical order, and a component
+with none settles the query at once. Every component finds one assignment
+before any runs in full, so a bound that trips after that still leaves a
+witness. Each leaf found pays for one matching of the product, and every
+matching past those costs a node.
 """
 
 from __future__ import annotations
@@ -210,17 +212,17 @@ def _search(
 
 
 def _closer(
-    inst: HrsInstance, order: Sequence[int], hospitals: Iterable[int]
+    inst: HrsInstance, order: Sequence[int], hospitals: Iterable[int], kind: str
 ) -> list[list[tuple[int, int | None]]]:
-    """The ranked close checks of a classic ``_search`` over ``order``: the
-    k-th list holds the (hospital, agent) tests of the pairs final once the
-    first k agents are placed. Agents outside ``order`` count as placed from
-    the start. A hospital's pairs are all final at its last listing agent: one
-    test (h, None). A pair (b, h) is also final once b and every agent h ranks
-    above b are placed: whether it blocks depends on b's hospital and h's
-    residents above b alone, since a resident below b adds as much to what
-    evicting can free as it takes from h's room. It is tested there, (h, b),
-    when that comes earlier."""
+    """The close checks of a ``_search`` over ``order`` for notion ``kind``:
+    the k-th list holds the (hospital, agent) tests of the pairs final once
+    the first k agents are placed. Agents outside ``order`` count as placed
+    from the start. A hospital's pairs are all final at its last listing
+    agent: one test (h, None). A classic pair (b, h) is also final once b and
+    every agent h ranks above b are placed: whether it blocks depends on b's
+    hospital and h's residents above b alone, since a resident below b adds as
+    much to what evicting can free as it takes from h's room. It is tested
+    there, (h, b), when that comes earlier."""
     placed = dict(zip(order, itertools.count(1)))
     final: list[list[tuple[int, int | None]]] = [[] for _ in range(len(order) + 1)]
     for h in hospitals:
@@ -228,10 +230,11 @@ def _closer(
         if listed:
             reach = list(itertools.accumulate(map(placed.get, listed, _ZEROS), max))
             last = reach[-1]
-            for b, k in zip(listed, reach):
-                if k == last:
-                    break
-                final[k].append((h, b))
+            if kind == verify.CLASSIC:
+                for b, k in zip(listed, reach):
+                    if k == last:
+                        break
+                    final[k].append((h, b))
             final[last].append((h, None))
     return final
 
@@ -272,16 +275,31 @@ def stable_matchings(
     interfaces: Sequence[int] | None = None,
 ) -> OracleResult:
     """All stable matchings, in canonical order, from the component search of
-    the module docstring. Under a ``max_solutions`` cap of k the search
-    returns the first k matchings it finds, in canonical order; they need not
-    be the first k of the uncapped list. ``strategy`` and ``interfaces`` are
-    accepted and ignored, for callers of the retired strategy switch and
-    interface sweep."""
+    the module docstring. ``strategy`` and ``interfaces`` are accepted and
+    ignored, for callers of the retired strategy switch and interface
+    sweep."""
+    return _component_matchings(inst, budget, verify.CLASSIC)
+
+
+def occupancy_stable_matchings(
+    inst: HrsInstance, budget: SearchBudget | None = None
+) -> OracleResult:
+    """All occupancy-stable matchings, in canonical order, from the component
+    search of the module docstring; nonempty whenever the search
+    completes."""
+    return _component_matchings(inst, budget, verify.OCCUPANCY)
+
+
+def _component_matchings(inst: HrsInstance, budget: SearchBudget | None, kind: str) -> OracleResult:
+    """The matchings with no blocking pair of ``kind``. Under a
+    ``max_solutions`` cap of k the search returns the first k matchings it
+    finds, in canonical order; they need not be the first k of the uncapped
+    list."""
     budget = budget or SearchBudget()
     ticker = _Ticker(budget)
     # a component with this many solutions lets the product reach the cap
     limit = None if budget.max_solutions is None else max(budget.max_solutions, 1)
-    test = partial(verify._hospital_blocks, inst, verify._eviction_mask(inst.sizes, verify.CLASSIC))
+    test = partial(verify._hospital_blocks, inst, verify._eviction_mask(inst.sizes, kind))
     position = {a: p for p, a in enumerate(_closing_order(inst))}
     # components share no agent or hospital, so their searches share one
     # assign and occ, though each may be paused at a leaf or stopped at the cap
@@ -291,7 +309,7 @@ def stable_matchings(
     for agents, hospitals in comps:
         order = sorted(agents, key=position.__getitem__)
         searches.append(_search(
-            inst.sizes, inst.caps, inst.agent_prefs, ticker, close=_closer(inst, order, hospitals),
+            inst.sizes, inst.caps, inst.agent_prefs, ticker, close=_closer(inst, order, hospitals, kind),
             blocks=test, order=order, assign=assign, occ=occ,
         ))
     solutions: list[list[tuple[int, ...]]] = [[] for _ in comps]
@@ -321,26 +339,6 @@ def stable_matchings(
     ranked = [prefs + (UNMATCHED,) for prefs in inst.agent_prefs]
     found.sort(key=lambda m: list(map(tuple.index, ranked, m.assign)))
     if limit is not None and len(found) >= budget.max_solutions:
-        verdict = EXHAUSTED
-    return OracleResult(verdict, found, None, ticker.nodes)
-
-
-def occupancy_stable_matchings(
-    inst: HrsInstance, budget: SearchBudget | None = None
-) -> OracleResult:
-    """All occupancy-stable matchings, in canonical order; nonempty whenever
-    the sweep completes."""
-    budget = budget or SearchBudget()
-    ticker = _Ticker(budget)
-    found: list[Matching] = []
-    verdict = COMPLETE
-    try:
-        for assign, _ in _stable_leaves(inst, verify.OCCUPANCY, ticker):
-            found.append(Matching(assign))
-            if budget.max_solutions is not None and len(found) >= budget.max_solutions:
-                verdict = EXHAUSTED
-                break
-    except BudgetExhausted:
         verdict = EXHAUSTED
     return OracleResult(verdict, found, None, ticker.nodes)
 

@@ -81,25 +81,16 @@ def validate_ordered_partition(
         if not cls:
             report.add("error", f"class #{i}", "empty class")
             continue
-        # the loop resumes after an entry that is no int index, which the
-        # comparison or the byte lookup refuses with TypeError
-        entries, ints = iter(cls), True
-        while True:
-            try:
-                for a in entries:
-                    if not 0 <= a < n_agents:
-                        report.add("error", f"class #{i}", f"unknown agent index {a}")
-                    elif seen[a]:
-                        label = inst.agent_labels[a]
-                        report.add("error", f"class #{i}", f"agent {label} in two classes")
-                    else:
-                        seen[a] = 1
-                break
-            except TypeError:
+        bad = False
+        for a in cls:
+            if not (isinstance(a, int) and 0 <= a < n_agents):
                 report.add("error", f"class #{i}", f"unknown agent index {a!r}")
-                ints = False
-        fast = ints and 0 <= min(cls) and max(cls) < n_agents
-        known = cls if fast else [a for a in cls if isinstance(a, int) and 0 <= a < n_agents]
+                bad = True
+            elif seen[a]:
+                report.add("error", f"class #{i}", f"agent {inst.agent_labels[a]} in two classes")
+            else:
+                seen[a] = 1
+        known = [a for a in cls if isinstance(a, int) and 0 <= a < n_agents] if bad else cls
         if known and not all(map(sizes[known[0]].__eq__, map(sizes.__getitem__, known))):
             report.add("error", f"class #{i}", f"mixed sizes {sorted({sizes[a] for a in known})}")
     if 0 in seen:

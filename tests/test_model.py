@@ -209,6 +209,12 @@ def test_labeled_pairs_name_a_bad_label(no_stable_inst):
             with pytest.raises(InstanceError) as err:
                 matching_from_json(no_stable_inst, {"matched": dict(pairs)})
             assert str(err.value) == message
+    # an entry that is no pair is named; a two-item list is a pair
+    for bad in (5, ("a1",), ("a1", "h1", "h2")):
+        with pytest.raises(InstanceError) as err:
+            Matching.from_labeled_pairs(no_stable_inst, [("a1", "h1"), bad])
+        assert str(err.value) == f"matching entry {bad!r} is not an (agent, hospital) pair"
+    assert Matching.from_labeled_pairs(no_stable_inst, [["a1", "h1"]]).assign == (0, UNMATCHED, UNMATCHED)
     with pytest.raises(InstanceError, match="^agent a1 matched twice$"):
         Matching.from_labeled_pairs(no_stable_inst, [("a1", "h1"), ("a1", "h2")])
     with pytest.raises(InstanceError, match="^matching JSON must be an object with a 'matched' map$"):

@@ -18,7 +18,7 @@ from hrs.oracle import (
     smti_complete_stable,
     stable_matchings,
 )
-from hrs.reduce import SmtiInstance, is_complete, is_weakly_stable, reduce_stable
+from hrs.reduce import SmtiInstance, is_complete, is_weakly_stable, reduce_occ, reduce_stable
 from hrs.solver import solve, solve_occupancy
 from hrs.partition import detect_generalized_master_list
 from hrs.verify import is_occupancy_stable, is_stable
@@ -27,10 +27,11 @@ from hrs.harness import GenParams, gen_csmti, gen_master_list, gen_random, no_st
 from conftest import all_feasible_assignments, small_random_instances
 
 
-def _index_order_stable(inst):
-    """The stable matchings as the index-order search finds them, in
-    canonical order: the reference for ``stable_matchings``."""
-    leaves = oracle._stable_leaves(inst, verify.CLASSIC, oracle._Ticker(SearchBudget()))
+def _index_order_stable(inst, kind=verify.CLASSIC):
+    """The matchings stable under ``kind`` as the index-order search finds
+    them, in canonical order: the reference for ``stable_matchings`` and
+    ``occupancy_stable_matchings``."""
+    leaves = oracle._stable_leaves(inst, kind, oracle._Ticker(SearchBudget()))
     return [Matching(assign) for assign, _ in leaves]
 
 
@@ -413,7 +414,8 @@ def test_smti_unequal_sides():
 
 
 def test_decompose_equals_plain_on_random():
-    # interfaces are ignored: every choice must give the reference's list
+    # interfaces are ignored: every choice must give the reference's list;
+    # the occupancy query runs the same component search
     rng = random.Random(53)
     for inst in small_random_instances(40, seed=53):
         plain = _index_order_stable(inst)
@@ -423,6 +425,9 @@ def test_decompose_equals_plain_on_random():
             dec = stable_matchings(inst, interfaces=interfaces)
             assert dec.complete
             assert dec.matchings == plain
+        occ = occupancy_stable_matchings(inst)
+        assert occ.complete
+        assert occ.matchings == _index_order_stable(inst, verify.OCCUPANCY)
 
 
 def test_decompose_every_other_interface_on_gadgets():
@@ -548,15 +553,19 @@ def test_budget_bounds_the_product_of_components():
 
 def test_budget_keeps_a_witness_once_every_component_has_one():
     inst = _union(*[_two_stable_market()] * 4)
-    everything = stable_matchings(inst)
-    assert everything.complete and everything.nodes == 24
-    runs = [stable_matchings(inst, SearchBudget(max_nodes=k)) for k in range(24)]
-    assert all(res.verdict == EXHAUSTED and res.nodes == k + 1 for k, res in enumerate(runs))
-    assert all(set(res.matchings) <= set(everything.matchings) for res in runs)
-    # two nodes find each market's first solution and two more its second;
-    # the 8 leaves pay for 8 matchings of the product, each further one costs
-    # a node
-    assert [len(res.matchings) for res in runs] == [0] * 8 + [1] * 8 + list(range(8, 16))
+    stable = stable_matchings(inst).matchings
+    # two nodes find each market's first solution and two more its second
+    # (three under occupancy, which has no ranked early tests); the 8 leaves
+    # pay for 8 matchings of the product, each further one costs a node
+    for query, total, second in [(stable_matchings, 24, 2), (occupancy_stable_matchings, 28, 3)]:
+        everything = query(inst)
+        assert everything.complete and everything.nodes == total
+        assert everything.matchings == stable
+        runs = [query(inst, SearchBudget(max_nodes=k)) for k in range(total)]
+        assert all(res.verdict == EXHAUSTED and res.nodes == k + 1 for k, res in enumerate(runs))
+        assert all(set(res.matchings) <= set(stable) for res in runs)
+        lengths = [0] * 8 + [1] * 4 * second + list(range(8, 16))
+        assert [len(res.matchings) for res in runs] == lengths
 
 
 @pytest.mark.parametrize("n", [10, 14, 20])
@@ -582,10 +591,14 @@ def test_decompose_equals_plain_on_every_gadget_stratum():
                     break
                 except ValueError:  # the generator rejects some seeds
                     seed += 100
-            inst, _ = reduce_stable(smti)
-            dec = stable_matchings(inst)
-            assert dec.complete
-            assert dec.matchings == _index_order_stable(inst)
+            for reduction, query, kind in [
+                (reduce_stable, stable_matchings, verify.CLASSIC),
+                (reduce_occ, occupancy_stable_matchings, verify.OCCUPANCY),
+            ]:
+                inst, _ = reduction(smti)
+                dec = query(inst)
+                assert dec.complete
+                assert dec.matchings == _index_order_stable(inst, kind)
 
 
 def _star(n):
